@@ -58,14 +58,17 @@ int main(int argc, char** argv) {
       core::VulcanManager::Params params;
       params.enable_chunk_promotion = mode_cfg.chunk;
       if (mode_cfg.chunk) params.chunk_promotion_density = mode_cfg.density;
-      runtime::TieredSystem::Config cfg;
-      cfg.seed = 19;
-      // A tight fast tier (6144 pages) keeps the two workloads contended.
-      cfg.machine.fast_bytes = 6144 * sim::kPageSize;
-      cfg.thp = false;
-      cfg.profiler = runtime::ProfilerKind::kPtScan;  // full coverage
-      runtime::TieredSystem sys(
-          cfg, std::make_unique<core::VulcanManager>(params));
+      auto built =
+          runtime::SystemBuilder{}
+              .seed(19)
+              // A tight fast tier (6144 pages) keeps the two workloads
+              // contended.
+              .machine({.fast_bytes = 6144 * sim::kPageSize})
+              .thp(false)
+              .profiler(runtime::ProfilerKind::kPtScan)  // full coverage
+              .policy(std::make_unique<core::VulcanManager>(params))
+              .build();
+      runtime::TieredSystem& sys = *built.value();
       sys.add_workload(primary(dense, 1));
       sys.add_workload(neighbour(2));
       sys.prefault(0, 0, 1);  // primary starts all-slow

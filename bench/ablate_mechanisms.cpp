@@ -73,10 +73,12 @@ int main(int argc, char** argv) {
   std::printf("%-16s %8s %14s %12s %14s %8s\n", "variant", "perf",
               "mig Gcycles", "IPIs", "shadow-remaps", "failed");
   for (const auto& variant : variants()) {
-    runtime::TieredSystem::Config config;
-    config.seed = 23;
-    runtime::TieredSystem sys(
-        config, std::make_unique<core::VulcanManager>(variant.params));
+    auto built =
+        runtime::SystemBuilder{}
+            .seed(23)
+            .policy(std::make_unique<core::VulcanManager>(variant.params))
+            .build();
+    runtime::TieredSystem& sys = *built.value();
     // Write-heavy microbench over a WSS exceeding the fast tier: migration
     // machinery stays busy, so mechanism costs are visible.
     wl::MicrobenchWorkload::Params p;

@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
   std::printf("%-14s %22s %22s %8s\n", "variant",
               "memcached perf/FTHR", "liblinear perf/FTHR", "CFI");
   for (const char* variant : {"cbfrp", "uniform", "no-partition"}) {
-    runtime::TieredSystem::Config config;
-    config.seed = 17;
-    runtime::TieredSystem sys(config, make_variant(variant));
+    auto built =
+        runtime::SystemBuilder{}.seed(17).policy(make_variant(variant)).build();
+    runtime::TieredSystem& sys = *built.value();
     std::vector<runtime::StagedWorkload> stages;
     stages.push_back({0.0, wl::make_memcached(1)});
     stages.push_back({10.0, wl::make_liblinear(2)});

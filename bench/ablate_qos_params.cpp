@@ -52,10 +52,11 @@ Outcome run(double alpha, double gain) {
   core::VulcanManager::Params params;
   params.fthr_alpha = alpha;
   params.demand_gain = gain;
-  runtime::TieredSystem::Config config;
-  config.seed = 31;
-  runtime::TieredSystem sys(config,
-                            std::make_unique<core::VulcanManager>(params));
+  auto built = runtime::SystemBuilder{}
+                   .seed(31)
+                   .policy(std::make_unique<core::VulcanManager>(params))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   std::vector<runtime::StagedWorkload> stages;
   stages.push_back({0.0, lc(1)});
   stages.push_back({10.0, be(2)});

@@ -54,9 +54,11 @@ int main(int argc, char** argv) {
   std::printf("%-8s %20s %20s %8s %12s\n", "policy", "LC perf/FTHR",
               "BE perf/FTHR", "CFI", "IPIs");
   for (const char* policy : {"tpp", "memtis", "nomad", "mtm", "vulcan"}) {
-    runtime::TieredSystem::Config config;
-    config.seed = 77;
-    runtime::TieredSystem sys(config, runtime::make_policy(policy));
+    auto built = runtime::SystemBuilder{}
+                     .seed(77)
+                     .policy(runtime::make_policy(policy))
+                     .build();
+    runtime::TieredSystem& sys = *built.value();
     std::vector<runtime::StagedWorkload> stages;
     stages.push_back({0.0, lc(1)});
     stages.push_back({10.0, be(2)});

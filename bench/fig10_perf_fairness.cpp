@@ -27,9 +27,11 @@ struct TrialResult {
 };
 
 TrialResult run_trial(const char* policy, std::uint64_t seed, double end_s) {
-  runtime::TieredSystem::Config config;
-  config.seed = seed;
-  runtime::TieredSystem sys(config, runtime::make_policy(policy));
+  auto built = runtime::SystemBuilder{}
+                   .seed(seed)
+                   .policy(runtime::make_policy(policy))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   runtime::run_staged(sys, runtime::paper_colocation(seed), end_s);
 
   // Steady co-located window: after Liblinear has joined and settled.

@@ -55,11 +55,11 @@ struct RunResult {
 std::vector<RunResult> run_scenario(
     const char* tag, std::vector<std::unique_ptr<wl::Workload>> apps,
     unsigned epochs, bench::CsvSink& csv) {
-  runtime::TieredSystem::Config config;
-  config.seed = 42;
   auto policy = runtime::make_policy("memtis");
   auto* memtis = static_cast<policy::MemtisPolicy*>(policy.get());
-  runtime::TieredSystem sys(config, std::move(policy));
+  auto built =
+      runtime::SystemBuilder{}.seed(42).policy(std::move(policy)).build();
+  runtime::TieredSystem& sys = *built.value();
   std::vector<unsigned> ids;
   for (auto& app : apps) ids.push_back(sys.add_workload(std::move(app)));
 

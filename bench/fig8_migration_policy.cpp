@@ -69,9 +69,11 @@ int main() {
                 (unsigned long long)sc.rss_pages);
     std::printf("  %-8s | in-progress R/W GB/s | stable R/W GB/s\n", "policy");
     for (const char* policy : {"tpp", "memtis", "nomad", "vulcan"}) {
-      runtime::TieredSystem::Config config;
-      config.seed = 9;
-      runtime::TieredSystem sys(config, runtime::make_policy(policy));
+      auto built = runtime::SystemBuilder{}
+                       .seed(9)
+                       .policy(runtime::make_policy(policy))
+                       .build();
+      runtime::TieredSystem& sys = *built.value();
       wl::MicrobenchWorkload::Params p;
       p.rss_pages = sc.rss_pages;
       p.wss_pages = sc.wss_pages;

@@ -21,11 +21,11 @@ int main(int argc, char** argv) {
                      "time_s,workload,name,fast_pages,slow_pages,hot_pages,"
                      "fthr,gpt,quota,demand,credits,lc");
 
-  runtime::TieredSystem::Config config;
-  config.seed = 3;
   auto policy = runtime::make_policy("vulcan");
   auto* vulcan_mgr = static_cast<core::VulcanManager*>(policy.get());
-  runtime::TieredSystem sys(config, std::move(policy));
+  auto built =
+      runtime::SystemBuilder{}.seed(3).policy(std::move(policy)).build();
+  runtime::TieredSystem& sys = *built.value();
 
   double next_print = 0.0;
   const auto observe = [&](runtime::TieredSystem& s) {

@@ -109,9 +109,11 @@ void BM_CbfrpPartition(benchmark::State& state) {
 BENCHMARK(BM_CbfrpPartition)->Arg(3)->Arg(16);
 
 void BM_SimulationEpoch(benchmark::State& state) {
-  runtime::TieredSystem::Config config;
-  config.samples_per_epoch = 10'000;
-  runtime::TieredSystem sys(config, runtime::make_policy("vulcan"));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(10'000)
+                   .policy(runtime::make_policy("vulcan"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 16'384;
   p.wss_pages = 8192;

@@ -29,10 +29,12 @@ int main(int argc, char** argv) {
   std::printf("%-12s %12s %13s %8s %16s %10s\n", "profiler", "FTHR@25%",
               "FTHR steady", "perf", "epochs to 0.5", "migrated");
   for (const auto& [kind, name] : kKinds) {
-    runtime::TieredSystem::Config config;
-    config.seed = 21;
-    config.profiler = kind;
-    runtime::TieredSystem sys(config, runtime::make_policy("vulcan"));
+    auto built = runtime::SystemBuilder{}
+                     .seed(21)
+                     .profiler(kind)
+                     .policy(runtime::make_policy("vulcan"))
+                     .build();
+    runtime::TieredSystem& sys = *built.value();
     wl::MicrobenchWorkload::Params p;
     p.rss_pages = 24'576;
     p.wss_pages = 16'384;  // exceeds the fast tier: ranking quality matters

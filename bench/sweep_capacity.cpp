@@ -61,10 +61,12 @@ int main(int argc, char** argv) {
     double results[2][2];  // [policy][fthr, perf]
     const char* names[2] = {"memtis", "vulcan"};
     for (int p = 0; p < 2; ++p) {
-      runtime::TieredSystem::Config config;
-      config.seed = 13;
-      config.machine.fast_bytes = fast_pages * sim::kPageSize;
-      runtime::TieredSystem sys(config, runtime::make_policy(names[p]));
+      auto built = runtime::SystemBuilder{}
+                       .seed(13)
+                       .machine({.fast_bytes = fast_pages * sim::kPageSize})
+                       .policy(runtime::make_policy(names[p]))
+                       .build();
+      runtime::TieredSystem& sys = *built.value();
       std::vector<runtime::StagedWorkload> stages;
       stages.push_back({0.0, lc(1)});
       stages.push_back({5.0, be(2)});

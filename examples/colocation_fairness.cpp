@@ -62,9 +62,11 @@ int main(int argc, char** argv) {
   std::printf("---------+------------------------+------------------------+---------\n");
 
   for (const auto& name : policies) {
-    runtime::TieredSystem::Config config;
-    config.seed = 42;
-    runtime::TieredSystem sys(config, runtime::make_policy(name));
+    auto built = runtime::SystemBuilder{}
+                     .seed(42)
+                     .policy(runtime::make_policy(name))
+                     .build();
+    runtime::TieredSystem& sys = *built.value();
 
     std::vector<runtime::StagedWorkload> stages;
     stages.push_back({0.0, lc_service(1)});

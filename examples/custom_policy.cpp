@@ -30,18 +30,19 @@ class StaticSlicePolicy final : public policy::SystemPolicy {
       const std::uint64_t in_fast = view.as->pages_in_tier(mem::kFastTier);
       if (in_fast > slice) {
         std::uint64_t excess = in_fast - slice;
-        for (const auto page : policy::pages_in_tier_by_heat(
-                 view, mem::kFastTier, /*hottest_first=*/false)) {
-          if (excess-- == 0) break;
+        policy::TierHeatRanking coldest(view, mem::kFastTier,
+                                        /*hottest_first=*/false);
+        for (; excess > 0 && coldest.more(); --excess) {
           view.migration->enqueue_urgent(policy::make_request(
-              view, page, mem::kSlowTier, mig::CopyMode::kAsync));
+              view, coldest.next(), mem::kSlowTier, mig::CopyMode::kAsync));
         }
         continue;
       }
       std::uint64_t headroom = slice - in_fast;
-      for (const auto page : policy::pages_in_tier_by_heat(
-               view, mem::kSlowTier, /*hottest_first=*/true)) {
-        if (headroom == 0) break;
+      policy::TierHeatRanking hottest(view, mem::kSlowTier,
+                                      /*hottest_first=*/true);
+      while (headroom > 0 && hottest.more()) {
+        const std::uint64_t page = hottest.next();
         if (view.tracker->heat(page) < 1.0) break;
         view.migration->enqueue(policy::make_request(
             view, page, mem::kFastTier, mig::CopyMode::kAsync));
@@ -100,9 +101,8 @@ void add_workloads(runtime::TieredSystem& sys) {
 
 void run(const char* label,
          std::unique_ptr<policy::SystemPolicy> pol) {
-  runtime::TieredSystem::Config config;
-  config.seed = 5;
-  runtime::TieredSystem sys(config, std::move(pol));
+  auto built = runtime::SystemBuilder{}.seed(5).policy(std::move(pol)).build();
+  runtime::TieredSystem& sys = *built.value();
   add_workloads(sys);
   sys.run_epochs(80);
   std::printf("%-14s small-hot perf %.3f | big-scan perf %.3f | CFI %.3f\n",

@@ -14,14 +14,17 @@
 using namespace vulcan;
 
 int main() {
-  runtime::TieredSystem::Config config;
-  config.seed = 4;
-  config.custom_tiers = std::vector<mem::TierConfig>{
-      {"hbm", sim::bytes_to_pages(sim::scaled_gib(4)), 40, 400.0},
-      {"dram", sim::bytes_to_pages(sim::scaled_gib(16)), 80, 205.0},
-      {"cxl", sim::bytes_to_pages(sim::scaled_gib(128)), 180, 25.0},
-  };
-  runtime::TieredSystem sys(config, runtime::make_policy("cascade"));
+  auto built =
+      runtime::SystemBuilder{}
+          .seed(4)
+          .tiers({
+              {"hbm", sim::bytes_to_pages(sim::scaled_gib(4)), 40, 400.0},
+              {"dram", sim::bytes_to_pages(sim::scaled_gib(16)), 80, 205.0},
+              {"cxl", sim::bytes_to_pages(sim::scaled_gib(128)), 180, 25.0},
+          })
+          .policy(runtime::make_policy("cascade"))
+          .build();
+  runtime::TieredSystem& sys = *built.value();
 
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 8192;   // 32 GB-equivalent: bigger than HBM + DRAM

@@ -45,9 +45,11 @@ int main() {
     spec.name = "captured";
     spec.accesses_per_sec_per_thread = 3e6;
 
-    runtime::TieredSystem::Config config;
-    config.seed = 7;
-    runtime::TieredSystem sys(config, runtime::make_policy(policy));
+    auto built = runtime::SystemBuilder{}
+                     .seed(7)
+                     .policy(runtime::make_policy(policy))
+                     .build();
+    runtime::TieredSystem& sys = *built.value();
     sys.add_workload(std::make_unique<wl::ReplayWorkload>(
         wl::Trace::load(buffer), spec));
     sys.prefault(0, 0, 1);  // data starts in the slow tier: policies must act

@@ -85,7 +85,6 @@
 #include "runtime/trials.hpp"
 #include "sim/config.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "vm/address_space.hpp"
 #include "vm/mmu.hpp"

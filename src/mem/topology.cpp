@@ -20,12 +20,15 @@ Topology::Topology(std::vector<TierConfig> tiers, double link_gbps)
 }
 
 Topology Topology::paper_testbed(const sim::MachineConfig& mc) {
-  std::vector<TierConfig> tiers;
-  tiers.push_back(TierConfig{"fast-dram", mc.fast_pages(), mc.fast_latency_ns,
-                             mc.fast_bw_gbps});
-  tiers.push_back(TierConfig{"slow-cxl", mc.slow_pages(), mc.slow_latency_ns,
-                             mc.slow_bw_gbps});
-  return Topology(std::move(tiers), mc.slow_bw_gbps);
+  return Topology(paper_testbed_tiers(mc), mc.slow_bw_gbps);
+}
+
+std::vector<TierConfig> Topology::paper_testbed_tiers(
+    const sim::MachineConfig& mc) {
+  return {TierConfig{"fast-dram", mc.fast_pages(), mc.fast_latency_ns,
+                     mc.fast_bw_gbps},
+          TierConfig{"slow-cxl", mc.slow_pages(), mc.slow_latency_ns,
+                     mc.slow_bw_gbps}};
 }
 
 }  // namespace vulcan::mem

@@ -20,6 +20,9 @@ class Topology {
   /// Build the paper's testbed topology from a MachineConfig
   /// (32 GB @ 70 ns fast, 256 GB @ 162 ns slow, capacities pre-scaled).
   static Topology paper_testbed(const sim::MachineConfig& mc = {});
+  /// The tier list paper_testbed() builds, without the allocators.
+  static std::vector<TierConfig> paper_testbed_tiers(
+      const sim::MachineConfig& mc);
 
   /// Build an arbitrary topology.
   explicit Topology(std::vector<TierConfig> tiers, double link_gbps = 25.0);

@@ -40,7 +40,10 @@ enum class SpanKind : std::uint8_t {
   kPhaseCopy,      ///< MigPhase::kCopy
   kPhaseRemap,     ///< MigPhase::kRemap
   kShootdown,      ///< one ShootdownController operation (IPI round)
-  kSimEvent,       ///< one discrete-event handler firing (sim::Engine)
+  /// No code path records this kind, but AppStats registers
+  /// app.span.sim_event_cycles{app=N} (value 0) for every app, so the key
+  /// is in every registry snapshot and the pinned fuzz digests.
+  kSimEvent,
 };
 
 inline constexpr std::size_t kSpanKindCount = 11;

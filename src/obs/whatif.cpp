@@ -62,7 +62,7 @@ std::string knob_vocabulary() {
 }
 
 void apply_perturbation(const Perturbation& p, runtime::SystemBuilder& b) {
-  runtime::TieredSystem::Config& c = b.config();
+  auto& c = b.config();
   sim::CostModelParams& m = c.cost_params;
   const double s = p.scale;
   if (s <= 0.0) {

@@ -90,15 +90,4 @@ std::uint64_t TierHeatRanking::next() {
   return key & 0xFFFFFFFFull;
 }
 
-std::vector<std::uint64_t> pages_in_tier_by_heat(const WorkloadView& view,
-                                                 mem::TierId tier,
-                                                 bool hottest_first) {
-  // A min-heap drained to exhaustion pops in fully sorted order, so this
-  // shim's output is byte-identical to the eager sort it replaced.
-  TierHeatRanking ranking(view, tier, hottest_first);
-  std::vector<std::uint64_t> pages;
-  while (ranking.more()) pages.push_back(ranking.next());
-  return pages;
-}
-
 }  // namespace vulcan::policy

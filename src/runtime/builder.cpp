@@ -45,22 +45,20 @@ BuildResult SystemBuilder::build() {
                                   "\" must sustain for > 0 s");
     }
   }
-  if (c.custom_tiers) {
-    const auto& tiers = *c.custom_tiers;
-    if (tiers.empty()) {
-      return BuildResult::failure("custom tier list must not be empty");
+  // One rule for custom topologies and the default paper testbed alike.
+  const std::vector<mem::TierConfig> tiers = c.resolved_tiers();
+  if (tiers.empty()) {
+    return BuildResult::failure("custom tier list must not be empty");
+  }
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    if (tiers[t].capacity_pages == 0) {
+      return BuildResult::failure("tier \"" + tiers[t].name +
+                                  "\" has zero capacity");
     }
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
-      if (tiers[t].capacity_pages == 0) {
-        return BuildResult::failure("tier \"" + tiers[t].name +
-                                    "\" has zero capacity");
-      }
-      if (t > 0 &&
-          tiers[t].unloaded_latency_ns < tiers[0].unloaded_latency_ns) {
-        return BuildResult::failure(
-            "tier 0 must be the fastest tier: \"" + tiers[t].name +
-            "\" has lower unloaded latency than \"" + tiers[0].name + "\"");
-      }
+    if (t > 0 && tiers[t].unloaded_latency_ns < tiers[0].unloaded_latency_ns) {
+      return BuildResult::failure(
+          "tier 0 must be the fastest tier: \"" + tiers[t].name +
+          "\" has lower unloaded latency than \"" + tiers[0].name + "\"");
     }
   }
 
@@ -76,7 +74,8 @@ BuildResult SystemBuilder::build() {
     }
   }
 
-  auto system = std::make_unique<TieredSystem>(c, std::move(policy));
+  // The constructor is private to this builder, so no make_unique.
+  std::unique_ptr<TieredSystem> system(new TieredSystem(c, std::move(policy)));
   for (auto& staged : staged_) {
     system->add_workload(std::move(staged.workload), staged.profiler);
   }

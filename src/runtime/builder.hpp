@@ -11,17 +11,17 @@
 //   if (!built) { /* built.error() explains what was wrong */ }
 //   runtime::TieredSystem& sys = *built.value();
 //
-// All validation happens at build() and is reported as an expected-style
-// result instead of asserting: misconfigurations (slowest tier first, zero
-// samples, zero cores, unknown policy name, ...) come back as messages the
-// caller can print.
-//
-// The raw `TieredSystem::Config` + constructor remain available as a thin
-// deprecated shim for older harnesses; new code should use the builder.
+// The builder is the only way to construct a TieredSystem. All validation
+// happens at build() and is reported as an expected-style result instead of
+// asserting: misconfigurations (slowest tier first, zero samples, zero
+// cores, unknown policy name, ...) come back as messages the caller can
+// print. Harnesses with a fixed, known-good setup skip the check: value()
+// throws the message instead.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,14 +45,24 @@ class Expected {
   bool ok() const { return value_.has_value(); }
   explicit operator bool() const { return ok(); }
 
-  /// Valid only when ok().
-  T& value() { return *value_; }
-  const T& value() const { return *value_; }
+  /// The value; throws std::runtime_error carrying error() when !ok(),
+  /// like std::expected::value().
+  T& value() {
+    check();
+    return *value_;
+  }
+  const T& value() const {
+    check();
+    return *value_;
+  }
   /// Empty when ok().
   const std::string& error() const { return error_; }
 
  private:
   Expected() = default;
+  void check() const {
+    if (!ok()) throw std::runtime_error(error_);
+  }
   std::optional<T> value_;
   std::string error_;
 };
@@ -68,7 +78,7 @@ class SystemBuilder {
     return *this;
   }
   /// Arbitrary topology override (HBM + DRAM + CXL, ...). Tier 0 must be
-  /// the fastest; build() enforces it.
+  /// the fastest; build() enforces it here and on the default testbed.
   SystemBuilder& tiers(std::vector<mem::TierConfig> tiers) {
     config_.custom_tiers = std::move(tiers);
     return *this;
@@ -104,14 +114,6 @@ class SystemBuilder {
   }
   SystemBuilder& seed(std::uint64_t seed) {
     config_.seed = seed;
-    return *this;
-  }
-  SystemBuilder& migration_budget(std::uint64_t pages_per_epoch) {
-    config_.migration_budget_override = pages_per_epoch;
-    return *this;
-  }
-  SystemBuilder& charge_daemon_to_app(bool on) {
-    config_.charge_daemon_to_app = on;
     return *this;
   }
   SystemBuilder& trace_capacity(std::size_t events) {
@@ -197,13 +199,6 @@ class SystemBuilder {
     config_.provenance.enabled = on;
     return *this;
   }
-  /// Ledger ring capacities (retained decision / transition rows).
-  SystemBuilder& provenance_capacity(std::size_t decisions,
-                                     std::size_t transitions) {
-    config_.provenance.decision_capacity = decisions;
-    config_.provenance.transition_capacity = transitions;
-    return *this;
-  }
   /// Migration admission control (mig/admission.hpp): score every
   /// MigrationRequest's predicted benefit against its calibrated cost and
   /// veto the ones that don't clear the margin. Off by default
@@ -254,7 +249,7 @@ class SystemBuilder {
   const std::string& policy_name() const { return policy_name_; }
 
   /// Stage a workload; it is registered (in staging order) on the freshly
-  /// built system, so indices are 0, 1, ... as with TieredSystem directly.
+  /// built system, so indices are 0, 1, ... in staging order.
   SystemBuilder& add_workload(std::unique_ptr<wl::Workload> workload,
                               std::optional<ProfilerKind> profiler =
                                   std::nullopt) {

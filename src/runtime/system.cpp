@@ -14,11 +14,8 @@ TieredSystem::TieredSystem(Config config,
       trace_(config.trace_capacity),
       provenance_(config.provenance),
       policy_(std::move(policy)),
-      topo_(std::make_unique<mem::Topology>(
-          config.custom_tiers.has_value()
-              ? mem::Topology(*config.custom_tiers,
-                              config.machine.slow_bw_gbps)
-              : mem::Topology::paper_testbed(config.machine))),
+      topo_(std::make_unique<mem::Topology>(config.resolved_tiers(),
+                                            config.machine.slow_bw_gbps)),
       cost_(config.cost_params),
       rng_(config.seed) {
   if (config_.record_spans) {
@@ -66,18 +63,14 @@ TieredSystem::TieredSystem(Config config,
                                   provenance_.enabled() ? &provenance_
                                                         : nullptr);
   }
-  if (config_.migration_budget_override > 0) {
-    migration_budget_ = config_.migration_budget_override;
-  } else {
-    // Half the inter-tier link bandwidth (capacity-scaled) over one epoch:
-    // kernels throttle migration so demand traffic is never fully starved,
-    // and migration bytes feed back into the loaded-latency model.
-    const double epoch_s = sim::CpuClock::to_seconds(config_.epoch);
-    const double bytes = 0.5 * config_.machine.slow_bw_gbps * 1e9 /
-                         static_cast<double>(sim::kCapacityScale) * epoch_s;
-    migration_budget_ = std::max<std::uint64_t>(
-        16, static_cast<std::uint64_t>(bytes / sim::kPageSize));
-  }
+  // Half the inter-tier link bandwidth (capacity-scaled) over one epoch:
+  // kernels throttle migration so demand traffic is never fully starved,
+  // and migration bytes feed back into the loaded-latency model.
+  const double epoch_s = sim::CpuClock::to_seconds(config_.epoch);
+  const double bytes = 0.5 * config_.machine.slow_bw_gbps * 1e9 /
+                       static_cast<double>(sim::kCapacityScale) * epoch_s;
+  migration_budget_ = std::max<std::uint64_t>(
+      16, static_cast<std::uint64_t>(bytes / sim::kPageSize));
 }
 
 TieredSystem::~TieredSystem() = default;
@@ -460,11 +453,11 @@ void TieredSystem::run_one_epoch() {
         static_cast<double>(config_.machine.fast_latency_ns));
     double actual_cpa = w.cycles_per_access(m.avg_latency_ns);
     if (total_accesses > 0) {
-      double overhead = static_cast<double>(mw.epoch_migration.stall_cycles +
-                                            mw.epoch_inline_overhead);
-      if (config_.charge_daemon_to_app) {
-        overhead += static_cast<double>(mw.epoch_migration.daemon_cycles);
-      }
+      // Migration threads and profiling daemons run on the application's
+      // dedicated cores (§3.2), so their cycles steal app throughput.
+      const double overhead = static_cast<double>(
+          mw.epoch_migration.stall_cycles + mw.epoch_inline_overhead +
+          mw.epoch_migration.daemon_cycles);
       actual_cpa += overhead / total_accesses;
     }
     m.performance = actual_cpa > 0 ? ideal_cpa / actual_cpa : 1.0;

@@ -53,17 +53,24 @@ enum class ProfilerKind : std::uint8_t {
   kChrono,
 };
 
+class SystemBuilder;
+
+/// Constructed only through runtime::SystemBuilder (runtime/builder.hpp),
+/// which validates the configuration at build() time.
 class TieredSystem {
  public:
-  /// Deprecated construction shim: prefer runtime::SystemBuilder
-  /// (runtime/builder.hpp), which validates at build() time and reports
-  /// errors instead of silently accepting bad setups. Kept so existing
-  /// harnesses keep compiling; the builder fills in this struct.
+  /// The staged configuration SystemBuilder fills in and validates.
   struct Config {
     sim::MachineConfig machine;
     /// Override the two-tier paper testbed with an arbitrary topology
     /// (e.g. HBM + DRAM + CXL three-tier). Tier 0 must be the fastest.
     std::optional<std::vector<mem::TierConfig>> custom_tiers;
+    /// The tiers the system runs on: custom_tiers when set, else the paper
+    /// testbed derived from `machine`. build() validates this list.
+    std::vector<mem::TierConfig> resolved_tiers() const {
+      return custom_tiers ? *custom_tiers
+                          : mem::Topology::paper_testbed_tiers(machine);
+    }
     sim::Cycles epoch = sim::CpuClock::from_millis(250);
     /// Simulated access samples per workload per epoch; each carries the
     /// weight (real accesses / samples).
@@ -76,12 +83,6 @@ class TieredSystem {
     ProfilerKind profiler = ProfilerKind::kHybrid;
     bool thp = true;
     std::uint64_t seed = 42;
-    /// Override the inter-tier migration budget (pages/epoch); 0 = derive
-    /// from the (capacity-scaled) link bandwidth.
-    std::uint64_t migration_budget_override = 0;
-    /// Migration threads and profiling daemons run on the application's
-    /// dedicated cores (§3.2), so their cycles steal app throughput.
-    bool charge_daemon_to_app = true;
     /// Structured-trace ring capacity (events retained; oldest dropped).
     std::size_t trace_capacity = 1 << 16;
     /// Record hierarchical timeline spans (epoch -> policy -> migration ->
@@ -142,7 +143,6 @@ class TieredSystem {
     mig::AdmissionSpec admission;
   };
 
-  TieredSystem(Config config, std::unique_ptr<policy::SystemPolicy> policy);
   ~TieredSystem();
   TieredSystem(const TieredSystem&) = delete;
   TieredSystem& operator=(const TieredSystem&) = delete;
@@ -237,11 +237,6 @@ class TieredSystem {
   /// The translation facade: per-core TLBs + page-walk cache.
   vm::Mmu& mmu() { return *mmu_; }
   const vm::Mmu& mmu() const { return *mmu_; }
-  /// Deprecated shims for pre-Mmu call sites (auditor hooks and
-  /// fault-injection tests reached the TLB vector directly); removal
-  /// planned once out-of-tree callers go through mmu().tlbs().
-  std::vector<vm::Tlb>& tlbs() { return mmu_->tlbs(); }
-  const std::vector<vm::Tlb>& tlbs() const { return mmu_->tlbs(); }
 
   /// Snapshot of the machine for the invariant auditor.
   check::SystemView audit_view() const;
@@ -253,6 +248,9 @@ class TieredSystem {
   const check::AuditReport& last_audit() const { return last_audit_; }
 
  private:
+  friend class SystemBuilder;
+  TieredSystem(Config config, std::unique_ptr<policy::SystemPolicy> policy);
+
   struct ManagedWorkload {
     std::unique_ptr<wl::Workload> workload;
     std::unique_ptr<vm::AddressSpace> as;

@@ -22,21 +22,6 @@ void ShootdownController::record(unsigned targets, std::uint64_t pages,
   obs_.event(obs::EventKind::kShootdownAck, targets, cost);
 }
 
-void ShootdownController::invalidate_targets(CoreId initiator,
-                                             std::span<const CoreId> targets,
-                                             ProcessId pid, Vpn vpn) {
-  if (mmu_) {
-    mmu_->invalidate(initiator, targets, pid, vpn);
-    return;
-  }
-  if (!tlbs_) return;
-  auto& tlbs = *tlbs_;
-  if (initiator < tlbs.size()) tlbs[initiator].invalidate(pid, vpn);
-  for (const CoreId core : targets) {
-    if (core < tlbs.size()) tlbs[core].invalidate(pid, vpn);
-  }
-}
-
 sim::Cycles ShootdownController::shoot_single(CoreId initiator,
                                               std::span<const CoreId> targets,
                                               ProcessId pid, Vpn vpn) {
@@ -45,7 +30,7 @@ sim::Cycles ShootdownController::shoot_single(CoreId initiator,
   obs::ScopedSpan span =
       obs_.span(obs::SpanKind::kShootdown, /*arg=*/1.0, /*tier=*/0,
                 static_cast<std::uint16_t>(targets.size()));
-  invalidate_targets(initiator, targets, pid, vpn);
+  if (mmu_) mmu_->invalidate(initiator, targets, pid, vpn);
   const sim::Cycles cost =
       cost_->shootdown_cold(static_cast<unsigned>(targets.size()));
   ++stats_.shootdowns;
@@ -65,8 +50,8 @@ sim::Cycles ShootdownController::shoot_batch(CoreId initiator,
       obs_.span(obs::SpanKind::kShootdown,
                 /*arg=*/static_cast<double>(vpns.size()), /*tier=*/0,
                 static_cast<std::uint16_t>(targets.size()));
-  for (const Vpn vpn : vpns) {
-    invalidate_targets(initiator, targets, pid, vpn);
+  if (mmu_) {
+    for (const Vpn vpn : vpns) mmu_->invalidate(initiator, targets, pid, vpn);
   }
   const sim::Cycles cost = cost_->shootdown_batched(
       vpns.size(), static_cast<unsigned>(targets.size()));

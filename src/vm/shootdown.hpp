@@ -10,11 +10,9 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "obs/scope.hpp"
 #include "sim/cost_model.hpp"
-#include "vm/tlb.hpp"
 #include "vm/types.hpp"
 
 namespace vulcan::vm {
@@ -30,20 +28,13 @@ class ShootdownController {
     sim::Cycles cycles = 0;           ///< total cycles spent in shootdowns
   };
 
-  /// The facade-era constructor: invalidations route through vm::Mmu so
-  /// the page-walk cache is dropped coherently alongside TLB entries.
-  /// `mmu` may be null for pure cost studies.
+  /// Invalidations route through vm::Mmu so the page-walk cache is
+  /// dropped coherently alongside TLB entries. `mmu` may be null for pure
+  /// cost studies.
   ShootdownController(const sim::CostModel& cost, Mmu* mmu)
       : cost_(&cost), mmu_(mmu) {}
 
-  /// Deprecated shim: pre-Mmu call sites handed a raw per-core TLB vector.
-  /// Kept so existing harnesses keep compiling; removal planned once
-  /// out-of-tree callers construct the vm::Mmu facade instead. A raw TLB
-  /// vector cannot carry a PWC, so this path only invalidates TLB entries.
-  ShootdownController(const sim::CostModel& cost, std::vector<Tlb>* tlbs)
-      : cost_(&cost), tlbs_(tlbs) {}
-
-  /// The attached facade (null under the deprecated raw-TLB shim).
+  /// The attached facade (null for pure cost studies).
   Mmu* mmu() const { return mmu_; }
 
   /// Cold-path shootdown of one page. `targets` are the *remote* cores that
@@ -64,13 +55,10 @@ class ShootdownController {
   void set_obs(obs::Scope scope);
 
  private:
-  void invalidate_targets(CoreId initiator, std::span<const CoreId> targets,
-                          ProcessId pid, Vpn vpn);
   void record(unsigned targets, std::uint64_t pages, sim::Cycles cost);
 
   const sim::CostModel* cost_;
   Mmu* mmu_ = nullptr;
-  std::vector<Tlb>* tlbs_ = nullptr;
   Stats stats_;
   obs::Scope obs_;
   obs::Counter* obs_ops_ = &obs::detail::dummy_counter;

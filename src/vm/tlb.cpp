@@ -116,11 +116,6 @@ void Tlb::invalidate_pid(ProcessId pid) {
   sweep(huge_);
 }
 
-void Tlb::for_each_entry(
-    const std::function<void(const EntryView&)>& fn) const {
-  visit_entries(fn);
-}
-
 std::size_t Tlb::live_entries() const {
   std::size_t live = 0;
   for (const Entry& e : base_.entries) live += e.tag != 0;

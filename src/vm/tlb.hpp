@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/scope.hpp"
@@ -90,10 +89,6 @@ class Tlb {
     scan(base_, /*huge=*/false);
     scan(huge_, /*huge=*/true);
   }
-
-  /// Deprecated shim for visit_entries(); kept for source compatibility
-  /// with external harnesses, removal planned once they migrate.
-  void for_each_entry(const std::function<void(const EntryView&)>& fn) const;
 
   /// Live entries across both arrays.
   std::size_t live_entries() const;

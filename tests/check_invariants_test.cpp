@@ -16,15 +16,17 @@
 namespace vulcan::check {
 namespace {
 
-runtime::TieredSystem make_system(const char* policy_name,
-                                  AuditLevel level = AuditLevel::kFull,
-                                  bool audit_throw = true) {
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 3000;
-  cfg.seed = 7;
-  cfg.audit = level;
-  cfg.audit_throw = audit_throw;
-  return runtime::TieredSystem(cfg, runtime::make_policy(policy_name));
+std::unique_ptr<runtime::TieredSystem> make_system(
+    const char* policy_name, AuditLevel level = AuditLevel::kFull,
+    bool audit_throw = true) {
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(3000)
+                   .seed(7)
+                   .audit(level)
+                   .audit_throw(audit_throw)
+                   .policy(runtime::make_policy(policy_name))
+                   .build();
+  return std::move(built.value());
 }
 
 void add_churny_workloads(runtime::TieredSystem& sys) {
@@ -49,14 +51,14 @@ class CleanAuditP : public ::testing::TestWithParam<const char*> {};
 // Every policy's churn must audit green at kFull, every epoch (the audit
 // throws on violation, so simply completing the run is the assertion).
 TEST_P(CleanAuditP, FullAuditStaysGreenUnderChurn) {
-  runtime::TieredSystem sys = make_system(GetParam());
-  add_churny_workloads(sys);
-  sys.prefault(0);
-  sys.prefault(1);
-  ASSERT_NO_THROW(sys.run_epochs(8));
-  EXPECT_TRUE(sys.last_audit().ok());
-  EXPECT_GT(sys.last_audit().checks, 0u);
-  EXPECT_EQ(sys.last_audit().epoch, 8u);
+  const auto sys = make_system(GetParam());
+  add_churny_workloads(*sys);
+  sys->prefault(0);
+  sys->prefault(1);
+  ASSERT_NO_THROW(sys->run_epochs(8));
+  EXPECT_TRUE(sys->last_audit().ok());
+  EXPECT_GT(sys->last_audit().checks, 0u);
+  EXPECT_EQ(sys->last_audit().epoch, 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CleanAuditP,
@@ -70,99 +72,99 @@ INSTANTIATE_TEST_SUITE_P(Policies, CleanAuditP,
                          }()));
 
 TEST(AuditorFaultInjection, CorruptPteIsCaughtAsFreedFrame) {
-  runtime::TieredSystem sys =
+  const auto sys =
       make_system("vulcan", AuditLevel::kBasic, /*audit_throw=*/false);
-  add_churny_workloads(sys);
-  sys.run_epochs(2);
-  ASSERT_TRUE(sys.last_audit().ok());
+  add_churny_workloads(*sys);
+  sys->run_epochs(2);
+  ASSERT_TRUE(sys->last_audit().ok());
 
   // Redirect a live PTE at a frame the allocator holds free: grab a frame
   // from the same tier (so the census stays balanced), release it, and
   // point the mapping at it.
-  vm::AddressSpace& as = sys.address_space(0);
+  vm::AddressSpace& as = sys->address_space(0);
   const vm::Vpn vpn = as.vpn_at(0);
   ASSERT_TRUE(as.mapped(vpn));
   const vm::Pte pte = as.tables().get(vpn);
   mem::FrameAllocator& alloc =
-      sys.topology().allocator(mem::tier_of(pte.pfn()));
+      sys->topology().allocator(mem::tier_of(pte.pfn()));
   const auto bogus = alloc.allocate();
   ASSERT_TRUE(bogus.has_value());
   alloc.free(*bogus);
   as.tables().set(vpn, pte.with_pfn(*bogus));
 
-  const AuditReport& report = sys.run_audit();
+  const AuditReport& report = sys->run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, AuditRule::kFreedFrame))
       << format_report(report);
 }
 
 TEST(AuditorFaultInjection, LeakedFrameIsCaughtAsConservationBreak) {
-  runtime::TieredSystem sys =
+  const auto sys =
       make_system("vulcan", AuditLevel::kBasic, /*audit_throw=*/false);
-  add_churny_workloads(sys);
-  sys.run_epochs(2);
-  ASSERT_TRUE(sys.last_audit().ok());
+  add_churny_workloads(*sys);
+  sys->run_epochs(2);
+  ASSERT_TRUE(sys->last_audit().ok());
 
   // Allocate a frame nothing will ever map: used() rises with no matching
   // mapping or shadow.
-  ASSERT_TRUE(sys.topology().allocator(mem::kFastTier).allocate().has_value());
+  ASSERT_TRUE(sys->topology().allocator(mem::kFastTier).allocate().has_value());
 
-  const AuditReport& report = sys.run_audit();
+  const AuditReport& report = sys->run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, AuditRule::kFrameConservation))
       << format_report(report);
 }
 
 TEST(AuditorFaultInjection, StaleTlbEntryIsCaughtAsMissedShootdown) {
-  runtime::TieredSystem sys =
+  const auto sys =
       make_system("vulcan", AuditLevel::kBasic, /*audit_throw=*/false);
-  add_churny_workloads(sys);
-  sys.run_epochs(2);
-  ASSERT_TRUE(sys.last_audit().ok());
+  add_churny_workloads(*sys);
+  sys->run_epochs(2);
+  ASSERT_TRUE(sys->last_audit().ok());
 
   // A 4 KB entry whose cached translation disagrees with the live PTE is
   // exactly what a missed shootdown leaves behind.
-  vm::AddressSpace& as = sys.address_space(0);
+  vm::AddressSpace& as = sys->address_space(0);
   const vm::Vpn vpn = as.vpn_at(0);
   ASSERT_TRUE(as.mapped(vpn));
   const mem::Pfn wrong = as.tables().get(vpn).pfn() + 1;
-  sys.tlbs()[0].insert(as.pid(), vpn, wrong);
+  sys->mmu().tlb(0).insert(as.pid(), vpn, wrong);
 
-  const AuditReport& report = sys.run_audit();
+  const AuditReport& report = sys->run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, AuditRule::kTlbTranslation))
       << format_report(report);
 }
 
 TEST(AuditorFaultInjection, HugeEntryForSplitChunkIsCaught) {
-  runtime::TieredSystem sys =
+  const auto sys =
       make_system("vulcan", AuditLevel::kBasic, /*audit_throw=*/false);
-  add_churny_workloads(sys);
-  sys.run_epochs(1);
-  ASSERT_TRUE(sys.last_audit().ok());
+  add_churny_workloads(*sys);
+  sys->run_epochs(1);
+  ASSERT_TRUE(sys->last_audit().ok());
 
   // Force the chunk into base pages, then cache a 2 MB entry over it —
   // the stale coverage a missed split-time shootdown would leave behind.
-  vm::AddressSpace& as = sys.address_space(0);
+  vm::AddressSpace& as = sys->address_space(0);
   const vm::Vpn vpn = as.vpn_at(0);
   ASSERT_TRUE(as.mapped(vpn));
   as.split_chunk(vpn);
   ASSERT_FALSE(as.is_huge(vpn));
-  sys.tlbs()[0].insert_huge(as.pid(), vpn, as.tables().get(vpn).pfn());
+  sys->mmu().tlb(0).insert_huge(as.pid(), vpn, as.tables().get(vpn).pfn());
 
-  const AuditReport& report = sys.run_audit();
+  const AuditReport& report = sys->run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, AuditRule::kTlbHugeCoverage))
       << format_report(report);
 }
 
 TEST(AuditorFaultInjection, RunEpochsThrowsAuditFailure) {
-  runtime::TieredSystem sys = make_system("vulcan", AuditLevel::kBasic);
-  add_churny_workloads(sys);
-  sys.run_epochs(1);
-  ASSERT_TRUE(sys.topology().allocator(mem::kFastTier).allocate().has_value());
+  const auto sys = make_system("vulcan", AuditLevel::kBasic);
+  add_churny_workloads(*sys);
+  sys->run_epochs(1);
+  ASSERT_TRUE(sys->topology().allocator(mem::kFastTier).allocate().has_value());
   try {
-    sys.run_epochs(1);
+    sys->run_epochs(1);
     FAIL() << "leaked frame must fail the epoch-boundary audit";
   } catch (const AuditFailure& e) {
     EXPECT_FALSE(e.report().ok());
@@ -172,16 +174,16 @@ TEST(AuditorFaultInjection, RunEpochsThrowsAuditFailure) {
 }
 
 TEST(AuditorFaultInjection, AuditOffSkipsEpochBoundaryChecks) {
-  runtime::TieredSystem sys =
+  const auto sys =
       make_system("vulcan", AuditLevel::kOff, /*audit_throw=*/false);
-  add_churny_workloads(sys);
-  sys.run_epochs(1);
-  ASSERT_TRUE(sys.topology().allocator(mem::kFastTier).allocate().has_value());
+  add_churny_workloads(*sys);
+  sys->run_epochs(1);
+  ASSERT_TRUE(sys->topology().allocator(mem::kFastTier).allocate().has_value());
   // The corruption goes unnoticed at epoch boundaries...
-  ASSERT_NO_THROW(sys.run_epochs(2));
-  EXPECT_EQ(sys.last_audit().checks, 0u);
+  ASSERT_NO_THROW(sys->run_epochs(2));
+  EXPECT_EQ(sys->last_audit().checks, 0u);
   // ...but an explicit audit (which escalates to kFull when off) sees it.
-  const AuditReport& report = sys.run_audit();
+  const AuditReport& report = sys->run_audit();
   EXPECT_TRUE(has_rule(report, AuditRule::kFrameConservation));
 }
 

@@ -7,6 +7,7 @@
 #include "core/manager.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/system.hpp"
+#include "vm/mmu.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::core {
@@ -70,9 +71,11 @@ TEST(ColloidGate, GatesWhenFastTierIsContended) {
   p.enable_colloid_gate = true;
   VulcanManager mgr(p);
 
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  runtime::TieredSystem sys(cfg, std::make_unique<VulcanManager>(p));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(2000)
+                   .policy(std::make_unique<VulcanManager>(p))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   auto& topo = sys.topology();
 
   // Unloaded: fast (70ns) clearly beats slow (162ns) — not gated.
@@ -98,9 +101,11 @@ TEST(ColloidGate, SuspendsPromotionsUnderContention) {
   auto policy = std::make_unique<VulcanManager>(p);
   auto* mgr = policy.get();
 
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  runtime::TieredSystem sys(cfg, std::move(policy));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(2000)
+                   .policy(std::move(policy))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   (void)mgr;
   {
     wl::MicrobenchWorkload::Params mp;
@@ -125,9 +130,11 @@ TEST(ColloidGate, SuspendsPromotionsUnderContention) {
 TEST(Whitelist, UnmanagedWorkloadIsLeftAlone) {
   VulcanManager::Params p;
   p.whitelist = std::set<std::string>{"managed-app"};
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 3000;
-  runtime::TieredSystem sys(cfg, std::make_unique<VulcanManager>(p));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(3000)
+                   .policy(std::make_unique<VulcanManager>(p))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
 
   wl::MicrobenchWorkload::Params mp;
   mp.rss_pages = 4096;
@@ -146,9 +153,11 @@ TEST(Whitelist, UnmanagedWorkloadIsLeftAlone) {
 
 TEST(Whitelist, AbsentWhitelistManagesEverything) {
   VulcanManager::Params p;  // no whitelist
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 3000;
-  runtime::TieredSystem sys(cfg, std::make_unique<VulcanManager>(p));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(3000)
+                   .policy(std::make_unique<VulcanManager>(p))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params mp;
   mp.rss_pages = 4096;
   mp.wss_pages = 2048;
@@ -180,8 +189,8 @@ TEST(DmaCopy, ReducesCpuCyclesPerMigration) {
       as.fault(as.vpn_at(i), th, false, mem::kSlowTier);
     }
     sim::CostModel cost;
-    std::vector<vm::Tlb> tlbs(4);
-    vm::ShootdownController ctrl(cost, &tlbs);
+    vm::Mmu mmu({.cores = 4});
+    vm::ShootdownController ctrl(cost, &mmu);
     mig::Migrator::Config mc;
     mc.process_cores = {1, 2};
     mc.dma_copy = dma;

@@ -4,7 +4,8 @@
 
 #include "core/manager.hpp"
 #include "mig/migrator.hpp"
-#include "runtime/system.hpp"
+#include "runtime/builder.hpp"
+#include "vm/mmu.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::mig {
@@ -19,8 +20,8 @@ mem::Topology two_tier_topo() {
 class ChunkMigrationTest : public ::testing::Test {
  protected:
   ChunkMigrationTest()
-      : topo_(make_topo()), as_(make_cfg(), topo_), tlbs_(8),
-        shootdowns_(cost_, &tlbs_), rng_(3) {
+      : topo_(make_topo()), as_(make_cfg(), topo_), mmu_({.cores = 8}),
+        shootdowns_(cost_, &mmu_), rng_(3) {
     thread_ = as_.add_thread();
     // Two full chunks, faulted as base pages into the slow tier.
     for (std::uint64_t p = 0; p < 1024; ++p) {
@@ -57,7 +58,7 @@ class ChunkMigrationTest : public ::testing::Test {
   sim::CostModel cost_;
   mem::Topology topo_;
   vm::AddressSpace as_;
-  std::vector<vm::Tlb> tlbs_;
+  vm::Mmu mmu_;
   vm::ShootdownController shootdowns_;
   sim::Rng rng_;
   vm::ThreadId thread_ = 0;
@@ -143,14 +144,16 @@ TEST(ChunkPromotionPolicy, DenselyHotChunksGoWhole) {
   core::VulcanManager::Params params;
   params.enable_chunk_promotion = true;
   params.chunk_promotion_density = 0.70;
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 8000;
-  cfg.thp = false;
-  // PT-scan sees every touched page per epoch, so chunk density is known
-  // before per-page promotions drain the candidates.
-  cfg.profiler = runtime::ProfilerKind::kPtScan;
-  runtime::TieredSystem sys(cfg,
-                            std::make_unique<core::VulcanManager>(params));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(8000)
+                   .thp(false)
+                   // PT-scan sees every touched page per epoch, so chunk
+                   // density is known before per-page promotions drain the
+                   // candidates.
+                   .profiler(runtime::ProfilerKind::kPtScan)
+                   .policy(std::make_unique<core::VulcanManager>(params))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   // Hot set = exactly chunks 0..3 (2048 pages of 8192): dense chunks.
   wl::MicrobenchWorkload::Params wp;
   wp.rss_pages = 8192;

@@ -13,8 +13,8 @@ class MigratorTest : public ::testing::Test {
   MigratorTest()
       : topo_(make_topo()),
         as_(make_as_config(), topo_),
-        tlbs_(8),
-        shootdowns_(cost_, &tlbs_),
+        mmu_({.cores = 8}),
+        shootdowns_(cost_, &mmu_),
         rng_(7) {
     thread_ = as_.add_thread();
     as_.add_thread();
@@ -60,7 +60,7 @@ class MigratorTest : public ::testing::Test {
   sim::CostModel cost_;
   mem::Topology topo_;
   vm::AddressSpace as_;
-  std::vector<vm::Tlb> tlbs_;
+  vm::Mmu mmu_;
   vm::ShootdownController shootdowns_;
   sim::Rng rng_;
   vm::ThreadId thread_ = 0;
@@ -214,7 +214,7 @@ TEST_F(MigratorTest, NoShadowingFreesOldFrame) {
 
 TEST_F(MigratorTest, TargetedShootdownSparesUninvolvedCores) {
   // Preload TLBs on every core.
-  for (auto& tlb : tlbs_) tlb.insert(1, as_.vpn_at(6));
+  for (auto& tlb : mmu_.tlbs()) tlb.insert(1, as_.vpn_at(6));
   Migrator::Config cfg;
   cfg.mechanism.targeted_shootdown = true;
   cfg.process_cores = {1, 2, 3, 4};
@@ -224,20 +224,20 @@ TEST_F(MigratorTest, TargetedShootdownSparesUninvolvedCores) {
   req.owner = thread_;
   m.execute({&req, 1}, rng_);
   const vm::CoreId owner_core = m.core_of(thread_);
-  EXPECT_FALSE(tlbs_[owner_core].lookup(1, as_.vpn_at(6)));
+  EXPECT_FALSE(mmu_.tlb(owner_core).lookup(1, as_.vpn_at(6)));
   // A process core that is NOT the owner keeps its (stale-free by
   // ownership proof) entry untouched.
   unsigned untouched = 0;
   for (const vm::CoreId c : {1, 2, 3, 4}) {
     if (c != owner_core && c != cfg.daemon_core) {
-      untouched += tlbs_[c].lookup(1, as_.vpn_at(6));
+      untouched += mmu_.tlb(c).lookup(1, as_.vpn_at(6));
     }
   }
   EXPECT_GT(untouched, 0u);
 }
 
 TEST_F(MigratorTest, BroadcastShootdownHitsAllProcessCores) {
-  for (auto& tlb : tlbs_) tlb.insert(1, as_.vpn_at(7));
+  for (auto& tlb : mmu_.tlbs()) tlb.insert(1, as_.vpn_at(7));
   Migrator::Config cfg;
   cfg.mechanism.targeted_shootdown = false;
   cfg.process_cores = {1, 2, 3, 4};
@@ -245,9 +245,9 @@ TEST_F(MigratorTest, BroadcastShootdownHitsAllProcessCores) {
   const auto req = promote(7, CopyMode::kAsync);
   m.execute({&req, 1}, rng_);
   for (const vm::CoreId c : {1, 2, 3, 4}) {
-    EXPECT_FALSE(tlbs_[c].lookup(1, as_.vpn_at(7))) << "core " << c;
+    EXPECT_FALSE(mmu_.tlb(c).lookup(1, as_.vpn_at(7))) << "core " << c;
   }
-  EXPECT_TRUE(tlbs_[5].lookup(1, as_.vpn_at(7))) << "foreign core spared";
+  EXPECT_TRUE(mmu_.tlb(5).lookup(1, as_.vpn_at(7))) << "foreign core spared";
 }
 
 TEST_F(MigratorTest, PrepPaidOncePerBatchPerContext) {

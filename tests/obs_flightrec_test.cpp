@@ -21,11 +21,10 @@
 namespace vulcan::obs {
 namespace {
 
-runtime::TieredSystem::Config base_config() {
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  cfg.seed = 7;
-  return cfg;
+runtime::SystemBuilder base_builder() {
+  runtime::SystemBuilder b;
+  b.samples_per_epoch(2000).seed(7);
+  return b;
 }
 
 FlightRecorder::DumpInfo info_for(const char* reason) {
@@ -56,10 +55,12 @@ void poison_pwc(runtime::TieredSystem& sys) {
 TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   const std::string path =
       ::testing::TempDir() + "/flight_audit_failure.json";
-  runtime::TieredSystem::Config cfg = base_config();
-  cfg.flight_dump_path = path;
-  cfg.slo_rules = default_slo_pack();
-  runtime::TieredSystem sys(cfg, runtime::make_policy("tpp"));
+  auto built = base_builder()
+                   .flight_dump(path)
+                   .slo(default_slo_pack())
+                   .policy(runtime::make_policy("tpp"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   add_workload(sys);
   sys.prefault(0);
   sys.run_epochs(2);
@@ -139,9 +140,11 @@ TEST(FlightRecorder, DisabledAndPathlessRecordersRefuse) {
 }
 
 TEST(FlightRecorder, TraceTailRespectsTheEpochHorizon) {
-  runtime::TieredSystem::Config cfg = base_config();
-  cfg.flight_epochs = 2;
-  runtime::TieredSystem sys(cfg, runtime::make_policy("vulcan"));
+  runtime::SystemBuilder b = base_builder();
+  b.flight_epochs(2).policy(runtime::make_policy("vulcan"));
+  const sim::Cycles epoch = b.config().epoch;
+  auto built = b.build();
+  runtime::TieredSystem& sys = *built.value();
   add_workload(sys);
   sys.run_epochs(6);
 
@@ -152,7 +155,7 @@ TEST(FlightRecorder, TraceTailRespectsTheEpochHorizon) {
   ASSERT_TRUE(dump.has_value());
   ASSERT_FALSE(dump->trace.empty());
   // 6 epochs ran; only events from the last 2 epochs may survive.
-  const sim::Cycles cutoff = 4 * cfg.epoch;
+  const sim::Cycles cutoff = 4 * epoch;
   for (const TraceEvent& e : dump->trace) {
     EXPECT_GE(e.time, cutoff);
   }
@@ -161,10 +164,12 @@ TEST(FlightRecorder, TraceTailRespectsTheEpochHorizon) {
 }
 
 TEST(FlightRecorder, TelemetryOffDisablesTheRecorder) {
-  runtime::TieredSystem::Config cfg = base_config();
-  cfg.telemetry = false;
-  cfg.flight_dump_path = ::testing::TempDir() + "/flight_never.json";
-  runtime::TieredSystem sys(cfg, runtime::make_policy("tpp"));
+  auto built = base_builder()
+                   .telemetry(false)
+                   .flight_dump(::testing::TempDir() + "/flight_never.json")
+                   .policy(runtime::make_policy("tpp"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   add_workload(sys);
   sys.run_epochs(2);
   EXPECT_FALSE(sys.flight().enabled());
@@ -297,16 +302,18 @@ TEST(FlightDumpParse, ProvenanceTailRoundTrips) {
 
 TEST(FlightRecorder, DumpBytesAreDeterministic) {
   auto dump_once = [] {
-    runtime::TieredSystem::Config cfg = base_config();
-    cfg.slo_rules = default_slo_pack();
-    runtime::TieredSystem sys(cfg, runtime::make_policy("vulcan"));
+    runtime::SystemBuilder b = base_builder();
+    b.slo(default_slo_pack()).policy(runtime::make_policy("vulcan"));
+    const sim::Cycles epoch = b.config().epoch;
+    auto built = b.build();
+    runtime::TieredSystem& sys = *built.value();
     add_workload(sys);
     sys.run_epochs(4);
     std::ostringstream out;
     FlightRecorder::DumpInfo info;
     info.reason = "on_demand";
     info.epoch = 4;
-    info.now = 4 * cfg.epoch;
+    info.now = 4 * epoch;
     EXPECT_TRUE(sys.flight().dump(out, info));
     return out.str();
   };

@@ -160,10 +160,12 @@ TEST(SloMonitor, AppSlowdownExpandsPerApp) {
 // verdict must be identical run-to-run.
 TEST(SloLive, DefaultPackFlagsTheDilemmaVictim) {
   auto run = [] {
-    runtime::TieredSystem::Config cfg;
-    cfg.seed = 42;
-    cfg.slo_rules = default_slo_pack();
-    runtime::TieredSystem sys(cfg, runtime::make_policy("vulcan"));
+    auto built = runtime::SystemBuilder{}
+                     .seed(42)
+                     .slo(default_slo_pack())
+                     .policy(runtime::make_policy("vulcan"))
+                     .build();
+    runtime::TieredSystem& sys = *built.value();
     runtime::run_staged(sys, runtime::dilemma_colocation(42), 12.5);
 
     const SloMonitor* slo = sys.slo_monitor();
@@ -187,9 +189,11 @@ TEST(SloLive, DefaultPackFlagsTheDilemmaVictim) {
 }
 
 TEST(SloLive, NoRulesMeansNoMonitorAndNoSloCounters) {
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  runtime::TieredSystem sys(cfg, runtime::make_policy("tpp"));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(2000)
+                   .policy(runtime::make_policy("tpp"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   runtime::run_staged(sys, runtime::dilemma_colocation(42), 1.0);
   EXPECT_EQ(sys.slo_monitor(), nullptr);
   EXPECT_FALSE(sys.obs_registry().has_gauge("slo.active"));

@@ -182,11 +182,10 @@ TEST(TimeSeries, CsvAndJsonlAgreeOnRowCount) {
 
 // ------------------------------------------------------------ integration
 
-runtime::TieredSystem::Config live_config() {
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  cfg.seed = 7;
-  return cfg;
+runtime::SystemBuilder live_builder() {
+  runtime::SystemBuilder b;
+  b.samples_per_epoch(2000).seed(7);
+  return b;
 }
 
 void add_workload(runtime::TieredSystem& sys) {
@@ -204,7 +203,9 @@ void add_workload(runtime::TieredSystem& sys) {
 // excluded — the audit itself runs after the telemetry point and bumps its
 // own counters for the *next* boundary to fold.
 TEST(TimeSeriesLive, NoTornWindowsAtEveryEpochBoundary) {
-  runtime::TieredSystem sys(live_config(), runtime::make_policy("vulcan"));
+  auto built =
+      live_builder().policy(runtime::make_policy("vulcan")).build();
+  runtime::TieredSystem& sys = *built.value();
   add_workload(sys);
   sys.prefault(0);
   for (int e = 0; e < 8; ++e) {
@@ -227,9 +228,11 @@ TEST(TimeSeriesLive, NoTornWindowsAtEveryEpochBoundary) {
 }
 
 TEST(TimeSeriesLive, TelemetryOffDisablesTheStore) {
-  runtime::TieredSystem::Config cfg = live_config();
-  cfg.telemetry = false;
-  runtime::TieredSystem sys(cfg, runtime::make_policy("tpp"));
+  auto built = live_builder()
+                   .telemetry(false)
+                   .policy(runtime::make_policy("tpp"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   add_workload(sys);
   sys.run_epochs(2);
   EXPECT_FALSE(sys.obs_timeseries().enabled());

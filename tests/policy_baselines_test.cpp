@@ -6,6 +6,7 @@
 #include "policy/memtis.hpp"
 #include "policy/nomad.hpp"
 #include "policy/tpp.hpp"
+#include "vm/mmu.hpp"
 
 namespace vulcan::policy {
 namespace {
@@ -82,8 +83,8 @@ class PolicyWorld {
 
   mem::Topology topo_;
   sim::CostModel cost_;
-  std::vector<vm::Tlb> tlbs_;
-  vm::ShootdownController shootdowns_{cost_, &tlbs_};
+  vm::Mmu mmu_{vm::Mmu::Config{}};
+  vm::ShootdownController shootdowns_{cost_, &mmu_};
   std::vector<std::unique_ptr<vm::AddressSpace>> as_;
   std::vector<std::unique_ptr<prof::HeatTracker>> trackers_;
   std::vector<std::unique_ptr<mig::Migrator>> migrators_;

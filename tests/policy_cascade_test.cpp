@@ -10,20 +10,20 @@
 namespace vulcan::policy {
 namespace {
 
-runtime::TieredSystem::Config three_tier_config(std::uint64_t seed = 8) {
-  runtime::TieredSystem::Config cfg;
-  cfg.seed = seed;
-  cfg.samples_per_epoch = 10'000;
-  cfg.custom_tiers = std::vector<mem::TierConfig>{
+runtime::SystemBuilder three_tier_builder(std::uint64_t seed = 8) {
+  runtime::SystemBuilder b;
+  b.seed(seed).samples_per_epoch(10'000).tiers({
       {"hbm", 1024, 40, 400.0},
       {"dram", 4096, 80, 205.0},
       {"cxl", 32'768, 180, 25.0},
-  };
-  return cfg;
+  });
+  return b;
 }
 
 TEST(Cascade, WaterfallOrdersHeatAcrossThreeTiers) {
-  runtime::TieredSystem sys(three_tier_config(), runtime::make_policy("cascade"));
+  auto built =
+      three_tier_builder().policy(runtime::make_policy("cascade")).build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 8192;
   p.wss_pages = 8192;
@@ -68,9 +68,11 @@ TEST(Cascade, WaterfallOrdersHeatAcrossThreeTiers) {
 }
 
 TEST(Cascade, TwoTierBehavesLikeCapacityThresholding) {
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 4000;
-  runtime::TieredSystem sys(cfg, runtime::make_policy("cascade"));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(4000)
+                   .policy(runtime::make_policy("cascade"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 16'384;
   p.wss_pages = 4096;
@@ -82,8 +84,9 @@ TEST(Cascade, TwoTierBehavesLikeCapacityThresholding) {
 }
 
 TEST(Cascade, PlacementFillsFastestAvailableTier) {
-  runtime::TieredSystem sys(three_tier_config(),
-                            runtime::make_policy("cascade"));
+  auto built =
+      three_tier_builder().policy(runtime::make_policy("cascade")).build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 4096;
   p.wss_pages = 1024;
@@ -97,10 +100,10 @@ TEST(Cascade, PlacementFillsFastestAvailableTier) {
 }
 
 TEST(Cascade, BoundariesAreMonotoneDownTheTiers) {
-  runtime::TieredSystem::Config cfg = three_tier_config();
   auto policy = runtime::make_policy("cascade");
   auto* cascade = static_cast<CascadePolicy*>(policy.get());
-  runtime::TieredSystem sys(cfg, std::move(policy));
+  auto built = three_tier_builder().policy(std::move(policy)).build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 8192;
   p.wss_pages = 8192;
@@ -114,8 +117,9 @@ TEST(Cascade, BoundariesAreMonotoneDownTheTiers) {
 }
 
 TEST(Cascade, InvariantsHoldInThreeTierChurn) {
-  runtime::TieredSystem sys(three_tier_config(31),
-                            runtime::make_policy("cascade"));
+  auto built =
+      three_tier_builder(31).policy(runtime::make_policy("cascade")).build();
+  runtime::TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 8192;
   p.wss_pages = 6144;
@@ -125,7 +129,7 @@ TEST(Cascade, InvariantsHoldInThreeTierChurn) {
   for (int round = 0; round < 5; ++round) {
     sys.run_epochs(6);
     std::uint64_t census[3] = {0, 0, 0};
-    sys.address_space(0).tables().process_table().for_each(
+    sys.address_space(0).tables().process_table().visit(
         [&](vm::Vpn, vm::Pte pte) { ++census[mem::tier_of(pte.pfn())]; });
     for (int t = 0; t < 3; ++t) {
       ASSERT_EQ(sys.topology().allocator(static_cast<mem::TierId>(t)).used(),

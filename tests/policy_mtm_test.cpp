@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "policy/memtis.hpp"
+#include "vm/mmu.hpp"
 
 namespace vulcan::policy {
 namespace {
@@ -47,8 +48,8 @@ class MtmWorld {
 
   mem::Topology topo_;
   sim::CostModel cost_;
-  std::vector<vm::Tlb> tlbs_;
-  vm::ShootdownController shootdowns_{cost_, &tlbs_};
+  vm::Mmu mmu_{vm::Mmu::Config{}};
+  vm::ShootdownController shootdowns_{cost_, &mmu_};
   std::unique_ptr<vm::AddressSpace> as_;
   std::unique_ptr<prof::HeatTracker> tracker_;
   std::unique_ptr<mig::Migrator> migrator_;

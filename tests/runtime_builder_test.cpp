@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "runtime/experiment.hpp"
 #include "wl/apps.hpp"
@@ -65,12 +68,20 @@ TEST(SystemBuilder, RejectsTiersWhereTierZeroIsNotFastest) {
                    .build();
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("fastest"), std::string::npos);
+
+  // The same rule holds on the default paper testbed: a 300 ns "fast"
+  // tier is slower than the 162 ns slow tier.
+  auto testbed = SystemBuilder{}.machine({.fast_latency_ns = 300}).build();
+  ASSERT_FALSE(testbed.ok());
+  EXPECT_NE(testbed.error().find("fastest"), std::string::npos);
 }
 
 TEST(SystemBuilder, RejectsEmptyAndZeroCapacityTiers) {
   EXPECT_FALSE(SystemBuilder{}.tiers({}).build().ok());
   EXPECT_FALSE(
       SystemBuilder{}.tiers({{"dram", 0, 70, 205.0}}).build().ok());
+  // Default paper testbed with no fast memory at all.
+  EXPECT_FALSE(SystemBuilder{}.machine({.fast_bytes = 0}).build().ok());
 }
 
 TEST(SystemBuilder, AcceptsValidThreeTierTopology) {
@@ -94,39 +105,19 @@ TEST(SystemBuilder, AcceptsConcretePolicyInstance) {
   EXPECT_EQ(built.value()->policy().name(), "tpp");
 }
 
-TEST(SystemBuilder, MatchesLegacyConfigConstructionExactly) {
-  // The builder is a veneer over TieredSystem::Config; identical settings
-  // must give an identical (deterministic) simulation.
-  const std::uint64_t kSeed = 97;
-  const unsigned kEpochs = 6;
-
-  TieredSystem::Config config;
-  config.seed = kSeed;
-  config.samples_per_epoch = 2000;
-  TieredSystem legacy(config, make_policy("vulcan"));
-  legacy.add_workload(wl::make_memcached(5));
-  legacy.run_epochs(kEpochs);
-
-  auto built = SystemBuilder{}
-                   .seed(kSeed)
-                   .samples_per_epoch(2000)
-                   .policy("vulcan")
-                   .add_workload(wl::make_memcached(5))
-                   .build();
-  ASSERT_TRUE(built.ok()) << built.error();
-  TieredSystem& sys = *built.value();
-  sys.run_epochs(kEpochs);
-
-  std::ostringstream a, b;
-  legacy.metrics().write_csv(a);
-  sys.metrics().write_csv(b);
-  EXPECT_EQ(a.str(), b.str());
-
-  std::ostringstream ja, jb;
-  legacy.obs_registry().write_json(ja);
-  sys.obs_registry().write_json(jb);
-  EXPECT_EQ(ja.str(), jb.str());
+TEST(SystemBuilder, ValueThrowsTheBuildError) {
+  try {
+    auto built = SystemBuilder{}.samples_per_epoch(0).build();
+    (void)built.value();
+    FAIL() << "value() of a failed build must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("samples"), std::string::npos);
+  }
 }
+
+// The builder is the only construction path: the constructor is private.
+static_assert(!std::is_constructible_v<TieredSystem, TieredSystem::Config,
+                                       std::unique_ptr<policy::SystemPolicy>>);
 
 }  // namespace
 }  // namespace vulcan::runtime

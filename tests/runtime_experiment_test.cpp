@@ -35,9 +35,11 @@ TEST(PaperColocation, SeedsDecorrelateWorkloads) {
 }
 
 TEST(RunStaged, AdmitsAtExactBoundaries) {
-  TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 500;
-  TieredSystem sys(cfg, make_policy("vulcan"));
+  auto built = SystemBuilder{}
+                   .samples_per_epoch(500)
+                   .policy(make_policy("vulcan"))
+                   .build();
+  TieredSystem& sys = *built.value();
   std::vector<StagedWorkload> stages;
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 256;
@@ -56,8 +58,8 @@ TEST(RunStaged, AdmitsAtExactBoundaries) {
 }
 
 TEST(RunStaged, ZeroHorizonRunsNothing) {
-  TieredSystem::Config cfg;
-  TieredSystem sys(cfg, make_policy("tpp"));
+  auto built = SystemBuilder{}.policy(make_policy("tpp")).build();
+  TieredSystem& sys = *built.value();
   run_staged(sys, {}, 0.0);
   EXPECT_TRUE(sys.metrics().empty());
 }

@@ -102,10 +102,12 @@ TEST(FleetChurn, RunStagedAdmitsOutOfOrderArrivals) {
   // must admit every due stage regardless of position — the regression
   // here is a sorted-input cursor that stalled the whole tail of the
   // vector behind the first future arrival.
-  TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 1000;
-  cfg.seed = 3;
-  TieredSystem sys(cfg, make_policy("vulcan"));
+  auto built = SystemBuilder{}
+                   .samples_per_epoch(1000)
+                   .seed(3)
+                   .policy(make_policy("vulcan"))
+                   .build();
+  TieredSystem& sys = *built.value();
   auto micro = [](std::uint64_t seed) {
     wl::MicrobenchWorkload::Params p;
     p.rss_pages = 256;
@@ -167,11 +169,13 @@ TEST(FleetChurn, DepartedAppsReturnEveryFrameUnderFullAudit) {
 TEST(FleetChurn, SeededResidencyLeakTripsTheDepartedAudit) {
   // Negative control for kDepartedResidency: re-fault pages into an app
   // after it departs and the auditor must object.
-  TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  cfg.seed = 9;
-  cfg.audit = check::AuditLevel::kFull;
-  TieredSystem sys(cfg, make_policy("vulcan"));
+  auto built = SystemBuilder{}
+                   .samples_per_epoch(2000)
+                   .seed(9)
+                   .audit(check::AuditLevel::kFull)
+                   .policy(make_policy("vulcan"))
+                   .build();
+  TieredSystem& sys = *built.value();
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 512;
   p.wss_pages = 256;

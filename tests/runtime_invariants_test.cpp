@@ -16,10 +16,12 @@ namespace {
 class PolicyInvariantsP : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PolicyInvariantsP, SubstrateStaysConsistentUnderChurn) {
-  TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 4000;
-  cfg.seed = 99;
-  TieredSystem sys(cfg, make_policy(GetParam()));
+  auto built = SystemBuilder{}
+                   .samples_per_epoch(4000)
+                   .seed(99)
+                   .policy(make_policy(GetParam()))
+                   .build();
+  TieredSystem& sys = *built.value();
 
   // Two workloads with a drifting hot spot: constant promote/demote churn.
   for (int w = 0; w < 2; ++w) {
@@ -45,7 +47,7 @@ TEST_P(PolicyInvariantsP, SubstrateStaysConsistentUnderChurn) {
       shadows += sys.migrator(w).shadows().size();
       // Internal census equals a ground-truth page-table walk.
       std::uint64_t walk_fast = 0, walk_slow = 0;
-      sys.address_space(w).tables().process_table().for_each(
+      sys.address_space(w).tables().process_table().visit(
           [&](vm::Vpn, vm::Pte pte) {
             (mem::tier_of(pte.pfn()) == mem::kFastTier ? walk_fast
                                                        : walk_slow)++;
@@ -79,10 +81,12 @@ class PolicyDeterminismP : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PolicyDeterminismP, IdenticalSeedsIdenticalMetrics) {
   auto run = [&] {
-    TieredSystem::Config cfg;
-    cfg.samples_per_epoch = 2000;
-    cfg.seed = 5;
-    TieredSystem sys(cfg, make_policy(GetParam()));
+    auto built = SystemBuilder{}
+                     .samples_per_epoch(2000)
+                     .seed(5)
+                     .policy(make_policy(GetParam()))
+                     .build();
+    TieredSystem& sys = *built.value();
     wl::MicrobenchWorkload::Params p;
     p.rss_pages = 4096;
     p.wss_pages = 2048;
@@ -113,9 +117,11 @@ TEST(TraceThroughSystem, ReplayDrivesTheFullHarness) {
   std::stringstream buf;
   trace.save(buf);
 
-  TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 3000;
-  TieredSystem sys(cfg, make_policy("vulcan"));
+  auto built = SystemBuilder{}
+                   .samples_per_epoch(3000)
+                   .policy(make_policy("vulcan"))
+                   .build();
+  TieredSystem& sys = *built.value();
   wl::WorkloadSpec spec;
   spec.name = "replayed";
   spec.accesses_per_sec_per_thread = 1e6;
@@ -127,9 +133,11 @@ TEST(TraceThroughSystem, ReplayDrivesTheFullHarness) {
 }
 
 TEST(MtmIntegration, RunsTheColocationScenario) {
-  TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 3000;
-  TieredSystem sys(cfg, make_policy("mtm"));
+  auto built = SystemBuilder{}
+                   .samples_per_epoch(3000)
+                   .policy(make_policy("mtm"))
+                   .build();
+  TieredSystem& sys = *built.value();
   run_staged(sys, paper_colocation(3), /*end_s=*/8.0);
   EXPECT_EQ(sys.workload_count(), 1u);  // only memcached by t=8s
   EXPECT_GT(sys.metrics().mean_fthr(0, 10), 0.5);

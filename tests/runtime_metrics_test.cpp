@@ -96,10 +96,12 @@ TEST(MetricsRecorder, ExporterMatchesLegacyCsvOnSyntheticData) {
 TEST(MetricsRecorder, ExporterMatchesLegacyCsvOnARealRun) {
   // Three epochs of the real system: every cell the legacy hand-rolled
   // writer produced must come out of the unified exporter byte-identical.
-  TieredSystem::Config config;
-  config.seed = 3;
-  config.samples_per_epoch = 2000;
-  TieredSystem sys(config, make_policy("vulcan"));
+  auto built = SystemBuilder{}
+                   .seed(3)
+                   .samples_per_epoch(2000)
+                   .policy(make_policy("vulcan"))
+                   .build();
+  TieredSystem& sys = *built.value();
   sys.add_workload(wl::make_memcached(1));
   sys.add_workload(wl::make_liblinear(2));
   sys.run_epochs(3);

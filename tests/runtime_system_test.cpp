@@ -9,13 +9,12 @@
 namespace vulcan::runtime {
 namespace {
 
-TieredSystem::Config small_config(std::uint64_t seed = 42) {
-  TieredSystem::Config cfg;
+SystemBuilder small_builder(std::uint64_t seed = 42) {
+  SystemBuilder b;
   // Dense enough that a 12K-page scanner's whole set is observed per epoch
   // (sampling sparsity would otherwise understate BE heat).
-  cfg.samples_per_epoch = 10'000;
-  cfg.seed = seed;
-  return cfg;
+  b.samples_per_epoch(10'000).seed(seed);
+  return b;
 }
 
 std::unique_ptr<wl::Workload> small_microbench(std::uint64_t wss,
@@ -30,7 +29,8 @@ std::unique_ptr<wl::Workload> small_microbench(std::uint64_t wss,
 
 TEST(TieredSystem, SoloWorkloadConvergesToFastTier) {
   for (const char* policy : {"tpp", "memtis", "nomad", "vulcan"}) {
-    TieredSystem sys(small_config(), make_policy(policy));
+    auto built = small_builder().policy(make_policy(policy)).build();
+    TieredSystem& sys = *built.value();
     // WSS (1024) fits comfortably in the fast tier (8192 pages).
     sys.add_workload(small_microbench(1024, 16'384));
     sys.run_epochs(30);
@@ -42,7 +42,8 @@ TEST(TieredSystem, SoloWorkloadConvergesToFastTier) {
 
 TEST(TieredSystem, DeterministicForSeed) {
   auto run = [] {
-    TieredSystem sys(small_config(7), make_policy("vulcan"));
+    auto built = small_builder(7).policy(make_policy("vulcan")).build();
+    TieredSystem& sys = *built.value();
     sys.add_workload(small_microbench(2048, 8192));
     sys.add_workload(small_microbench(1024, 8192));
     sys.run_epochs(15);
@@ -55,7 +56,8 @@ TEST(TieredSystem, DeterministicForSeed) {
 
 TEST(TieredSystem, SeedChangesStream) {
   auto run = [](std::uint64_t seed) {
-    TieredSystem sys(small_config(seed), make_policy("vulcan"));
+    auto built = small_builder(seed).policy(make_policy("vulcan")).build();
+    TieredSystem& sys = *built.value();
     sys.add_workload(small_microbench(2048, 8192));
     sys.run_epochs(10);
     std::ostringstream csv;
@@ -66,7 +68,8 @@ TEST(TieredSystem, SeedChangesStream) {
 }
 
 TEST(TieredSystem, MetricsShapeIsSound) {
-  TieredSystem sys(small_config(), make_policy("memtis"));
+  auto built = small_builder().policy(make_policy("memtis")).build();
+  TieredSystem& sys = *built.value();
   sys.add_workload(small_microbench(512, 4096));
   sys.run_epochs(5);
   ASSERT_EQ(sys.metrics().epochs().size(), 5u);
@@ -83,7 +86,8 @@ TEST(TieredSystem, MetricsShapeIsSound) {
 }
 
 TEST(TieredSystem, FrameAccountingConsistent) {
-  TieredSystem sys(small_config(), make_policy("vulcan"));
+  auto built = small_builder().policy(make_policy("vulcan")).build();
+  TieredSystem& sys = *built.value();
   sys.add_workload(small_microbench(1024, 4096));
   sys.add_workload(small_microbench(1024, 4096));
   sys.run_epochs(20);
@@ -140,7 +144,8 @@ TEST(TieredSystem, ColdPageDilemmaRegression) {
   // The paper's Fig. 1 in miniature: Memtis lets the BE intensity evict
   // the LC hot set; Vulcan's partitioning protects it.
   auto run = [&](const char* policy) {
-    TieredSystem sys(small_config(), make_policy(policy));
+    auto built = small_builder().policy(make_policy(policy)).build();
+    TieredSystem& sys = *built.value();
     sys.add_workload(dilemma_lc());
     sys.add_workload(dilemma_be());
     sys.run_epochs(40);
@@ -155,7 +160,8 @@ TEST(TieredSystem, ColdPageDilemmaRegression) {
 }
 
 TEST(TieredSystem, StagedArrivalAddsWorkloads) {
-  TieredSystem sys(small_config(), make_policy("vulcan"));
+  auto built = small_builder().policy(make_policy("vulcan")).build();
+  TieredSystem& sys = *built.value();
   std::vector<StagedWorkload> stages;
   stages.push_back({0.0, small_microbench(512, 2048)});
   stages.push_back({1.0, small_microbench(512, 2048)});
@@ -173,7 +179,8 @@ TEST(TieredSystem, MakePolicyRejectsUnknown) {
 
 TEST(TieredSystem, CfiReflectsMonopolisation) {
   auto run_cfi = [&](const char* policy) {
-    TieredSystem sys(small_config(), make_policy(policy));
+    auto built = small_builder().policy(make_policy(policy)).build();
+    TieredSystem& sys = *built.value();
     sys.add_workload(dilemma_lc());
     sys.add_workload(dilemma_be());
     sys.run_epochs(30);
@@ -187,7 +194,8 @@ TEST(TieredSystem, PerWorkloadProfilerSelection) {
   // §3.2: each application selects its own profiling mechanism. Drive two
   // identical workloads, one on PEBS and one on PT-scan, and check both
   // converge (the mechanisms differ; the outcome shouldn't).
-  TieredSystem sys(small_config(), make_policy("vulcan"));
+  auto built = small_builder().policy(make_policy("vulcan")).build();
+  TieredSystem& sys = *built.value();
   sys.add_workload(small_microbench(512, 2048), ProfilerKind::kPebs);
   sys.add_workload(small_microbench(512, 2048), ProfilerKind::kPtScan);
   sys.run_epochs(25);
@@ -198,9 +206,11 @@ TEST(TieredSystem, PerWorkloadProfilerSelection) {
 class ProfilerKindP : public ::testing::TestWithParam<ProfilerKind> {};
 
 TEST_P(ProfilerKindP, AllProfilersDriveConvergence) {
-  auto cfg = small_config();
-  cfg.profiler = GetParam();
-  TieredSystem sys(cfg, make_policy("vulcan"));
+  auto built = small_builder()
+                   .profiler(GetParam())
+                   .policy(make_policy("vulcan"))
+                   .build();
+  TieredSystem& sys = *built.value();
   sys.add_workload(small_microbench(1024, 8192));
   sys.run_epochs(30);
   EXPECT_GT(sys.metrics().mean_fthr(0, 20), 0.7);

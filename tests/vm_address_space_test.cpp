@@ -178,7 +178,7 @@ TEST_P(AddressSpaceChurnP, TierAccountingMatchesCensus) {
     }
   }
   std::uint64_t census_fast = 0, census_slow = 0;
-  as.tables().process_table().for_each([&](Vpn, Pte pte) {
+  as.tables().process_table().visit([&](Vpn, Pte pte) {
     (mem::tier_of(pte.pfn()) == mem::kFastTier ? census_fast : census_slow)++;
   });
   EXPECT_EQ(as.pages_in_tier(mem::kFastTier), census_fast);

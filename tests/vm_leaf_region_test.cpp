@@ -52,7 +52,7 @@ TEST(ForEachLeaf, VisitsEveryLeafOnceWithCorrectBase) {
   pt.set(far, Pte::make(3, true, 0));
 
   std::vector<Vpn> bases;
-  pt.for_each_leaf([&](Vpn base, LeafTable& leaf) {
+  pt.visit_leaves([&](Vpn base, LeafTable& leaf) {
     bases.push_back(base);
     EXPECT_GT(leaf.live(), 0u);
   });
@@ -68,13 +68,13 @@ TEST(ForEachLeaf, SharedLeafVisibleFromBothTrees) {
   b.attach_leaf(1000, a.leaf_ref(1000));
   // The region summary is a property of the shared leaf itself.
   bool seen = false;
-  b.for_each_leaf([&](Vpn, LeafTable& leaf) {
+  b.visit_leaves([&](Vpn, LeafTable& leaf) {
     seen = true;
     EXPECT_TRUE(leaf.region_accessed());
     leaf.clear_region_accessed();
   });
   EXPECT_TRUE(seen);
-  a.for_each_leaf([&](Vpn, LeafTable& leaf) {
+  a.visit_leaves([&](Vpn, LeafTable& leaf) {
     EXPECT_FALSE(leaf.region_accessed()) << "clear visible through tree A";
   });
 }

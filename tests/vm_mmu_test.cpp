@@ -260,11 +260,14 @@ TEST(Mmu, BatchHookRunsPerAccessInStreamOrder) {
 // not match the process tree and prove the kPwcCoherence rule trips. A
 // safety net that cannot catch a planted fault catches nothing.
 TEST(Mmu, PoisonedPwcEntryTripsAuditor) {
-  runtime::TieredSystem::Config cfg;
-  cfg.samples_per_epoch = 2000;
-  cfg.seed = 7;
-  cfg.audit_throw = false;  // report, don't throw: we inspect the report
-  runtime::TieredSystem sys(cfg, runtime::make_policy("tpp"));
+  auto built = runtime::SystemBuilder{}
+                   .samples_per_epoch(2000)
+                   .seed(7)
+                   // Report, don't throw: we inspect the report.
+                   .audit_throw(false)
+                   .policy(runtime::make_policy("tpp"))
+                   .build();
+  runtime::TieredSystem& sys = *built.value();
 
   wl::MicrobenchWorkload::Params p;
   p.rss_pages = 4096;

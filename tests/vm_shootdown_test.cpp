@@ -3,30 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <vector>
+
+#include "vm/mmu.hpp"
 
 namespace vulcan::vm {
 namespace {
 
 class ShootdownTest : public ::testing::Test {
  protected:
-  ShootdownTest() : ctrl_(cost_, &tlbs_) {
-    tlbs_.resize(4);
-    for (CoreId c = 0; c < 4; ++c) tlbs_[c].insert(1, 100);
+  ShootdownTest() {
+    for (CoreId c = 0; c < 4; ++c) mmu_.tlb(c).insert(1, 100);
   }
 
   sim::CostModel cost_;
-  std::vector<Tlb> tlbs_;
-  ShootdownController ctrl_;
+  Mmu mmu_{{.cores = 4}};
+  ShootdownController ctrl_{cost_, &mmu_};
 };
 
 TEST_F(ShootdownTest, SingleInvalidatesInitiatorAndTargets) {
   const std::array<CoreId, 2> targets{1, 2};
   ctrl_.shoot_single(0, targets, 1, 100);
-  EXPECT_FALSE(tlbs_[0].lookup(1, 100));  // initiator flushes locally
-  EXPECT_FALSE(tlbs_[1].lookup(1, 100));
-  EXPECT_FALSE(tlbs_[2].lookup(1, 100));
-  EXPECT_TRUE(tlbs_[3].lookup(1, 100)) << "non-target core must keep entry";
+  EXPECT_FALSE(mmu_.tlb(0).lookup(1, 100));  // initiator flushes locally
+  EXPECT_FALSE(mmu_.tlb(1).lookup(1, 100));
+  EXPECT_FALSE(mmu_.tlb(2).lookup(1, 100));
+  EXPECT_TRUE(mmu_.tlb(3).lookup(1, 100)) << "non-target core must keep entry";
 }
 
 TEST_F(ShootdownTest, CostMatchesColdModel) {
@@ -40,8 +40,8 @@ TEST_F(ShootdownTest, LocalOnlyIsCheapAndCountsAsLocal) {
   EXPECT_EQ(cost, cost_.shootdown_cold(0));
   EXPECT_EQ(ctrl_.stats().local_only, 1u);
   EXPECT_EQ(ctrl_.stats().ipis, 0u);
-  EXPECT_FALSE(tlbs_[0].lookup(1, 100));
-  EXPECT_TRUE(tlbs_[1].lookup(1, 100));
+  EXPECT_FALSE(mmu_.tlb(0).lookup(1, 100));
+  EXPECT_TRUE(mmu_.tlb(1).lookup(1, 100));
 }
 
 TEST_F(ShootdownTest, TargetedIsNeverCostlierThanBroadcast) {
@@ -54,17 +54,17 @@ TEST_F(ShootdownTest, TargetedIsNeverCostlierThanBroadcast) {
 
 TEST_F(ShootdownTest, BatchInvalidatesAllPages) {
   for (CoreId c = 0; c < 4; ++c) {
-    tlbs_[c].insert(1, 200);
-    tlbs_[c].insert(1, 300);
+    mmu_.tlb(c).insert(1, 200);
+    mmu_.tlb(c).insert(1, 300);
   }
   const std::array<CoreId, 2> targets{1, 3};
   const std::array<Vpn, 3> pages{100, 200, 300};
   ctrl_.shoot_batch(0, targets, 1, pages);
   for (const Vpn v : pages) {
-    EXPECT_FALSE(tlbs_[0].lookup(1, v));
-    EXPECT_FALSE(tlbs_[1].lookup(1, v));
-    EXPECT_TRUE(tlbs_[2].lookup(1, v));
-    EXPECT_FALSE(tlbs_[3].lookup(1, v));
+    EXPECT_FALSE(mmu_.tlb(0).lookup(1, v));
+    EXPECT_FALSE(mmu_.tlb(1).lookup(1, v));
+    EXPECT_TRUE(mmu_.tlb(2).lookup(1, v));
+    EXPECT_FALSE(mmu_.tlb(3).lookup(1, v));
   }
 }
 
@@ -82,7 +82,7 @@ TEST_F(ShootdownTest, StatsAccumulate) {
 
 TEST(ShootdownNoTlbs, PureCostStudyWorks) {
   sim::CostModel cost;
-  ShootdownController ctrl(cost, static_cast<Mmu*>(nullptr));
+  ShootdownController ctrl(cost, nullptr);
   const std::array<CoreId, 31> targets{};
   const auto c = ctrl.shoot_single(0, targets, 1, 1);
   EXPECT_EQ(c, cost.shootdown_cold(31));
