@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/json_io.hpp"
 #include "obs/metrics.hpp"
 
 namespace vulcan::obs {
@@ -31,31 +32,9 @@ void write_csv_value(std::ostream& out, const Value& v) {
   std::visit([&](const auto& x) { out << x; }, v);
 }
 
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters need the \u00XX form.
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void write_json_value(std::ostream& out, const Value& v) {
   if (const auto* s = std::get_if<std::string>(&v)) {
-    write_json_string(out, *s);
+    json::write_string(out, *s);
     return;
   }
   if (const auto* d = std::get_if<double>(&v)) {
@@ -109,7 +88,7 @@ void JsonlExporter::row(std::span<const Value> values) {
   *out_ << '{';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i) *out_ << ',';
-    write_json_string(*out_, i < columns_.size() ? columns_[i]
+    json::write_string(*out_, i < columns_.size() ? columns_[i]
                                                  : std::string("col"));
     *out_ << ':';
     write_json_value(*out_, values[i]);

@@ -1,36 +1,16 @@
 #include "obs/flightrec.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string_view>
 
+#include "obs/json_io.hpp"
+
 namespace vulcan::obs {
 
 namespace {
-
-void write_escaped(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 /// Shortest round-trip double literal (matches the registry's JSON writer
 /// philosophy: deterministic bytes for a deterministic value).
@@ -59,70 +39,6 @@ void write_joined_lines(std::ostream& out, const std::string& jsonl) {
 
 constexpr std::size_t npos = std::string::npos;
 
-/// Region-bounded raw token after `"key":` — like trace.cpp's raw_field,
-/// plus whitespace and escape awareness (header strings are escaped).
-std::string_view token_in(std::string_view text, std::string_view key,
-                          std::size_t from, std::size_t to) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = text.find(needle, from);
-  if (pos == npos || pos >= to) return {};
-  std::size_t start = pos + needle.size();
-  while (start < to && text[start] == ' ') ++start;
-  std::size_t end = start;
-  bool in_string = false;
-  bool escaped = false;
-  while (end < to) {
-    const char c = text[end];
-    if (escaped) {
-      escaped = false;
-    } else if (c == '\\') {
-      escaped = true;
-    } else if (c == '"') {
-      in_string = !in_string;
-    } else if (!in_string && (c == ',' || c == '}' || c == '\n')) {
-      break;
-    }
-    ++end;
-  }
-  return text.substr(start, end - start);
-}
-
-std::string unquote(std::string_view tok) {
-  if (tok.size() >= 2 && tok.front() == '"' && tok.back() == '"') {
-    tok = tok.substr(1, tok.size() - 2);
-  }
-  std::string out;
-  out.reserve(tok.size());
-  for (std::size_t i = 0; i < tok.size(); ++i) {
-    const char c = tok[i];
-    if (c == '\\' && i + 1 < tok.size()) {
-      const char n = tok[++i];
-      switch (n) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': i += 4; out += '?'; break;  // lossy, fine for reports
-        default: out += n; break;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::uint64_t tok_u64(std::string_view tok) {
-  return std::strtoull(std::string(tok).c_str(), nullptr, 10);
-}
-
-std::int64_t tok_i64(std::string_view tok) {
-  return std::strtoll(std::string(tok).c_str(), nullptr, 10);
-}
-
-double tok_double(std::string_view tok) {
-  return std::strtod(std::string(tok).c_str(), nullptr);
-}
-
 /// Visit every line in text[from, to).
 template <typename Fn>
 void each_line(std::string_view text, std::size_t from, std::size_t to,
@@ -145,11 +61,11 @@ bool FlightRecorder::dump(std::ostream& out, const DumpInfo& info) const {
   // scanners, and the registry snapshot must own the first quoted
   // "counters" token in the file (string payloads above it are escaped, so
   // they can never contain the bare token).
-  out << "{\n\"flight_version\": 1,\n\"reason\": \"";
-  write_escaped(out, info.reason);
-  out << "\",\n\"cause\": \"";
-  write_escaped(out, info.cause);
-  out << "\",\n\"epoch\": " << info.epoch << ",\n";
+  out << "{\n\"flight_version\": 1,\n\"reason\": ";
+  json::write_string(out, info.reason);
+  out << ",\n\"cause\": ";
+  json::write_string(out, info.cause);
+  out << ",\n\"epoch\": " << info.epoch << ",\n";
   std::snprintf(buf, sizeof buf, "%.6f", sim::CpuClock::to_seconds(info.now));
   out << "\"t_s\": " << buf << ",\n"
       << "\"trace_horizon_epochs\": " << cfg_.epochs << ",\n";
@@ -161,9 +77,9 @@ bool FlightRecorder::dump(std::ostream& out, const DumpInfo& info) const {
     const std::vector<SloSpec>& specs = slo_->specs();
     for (const SloRuleState& st : slo_->states()) {
       const SloSpec& spec = specs[st.rule];
-      out << (first ? "" : ",\n") << "{\"rule\":\"";
-      write_escaped(out, spec.name);
-      out << "\",\"severity\":\"" << slo_severity_name(spec.severity)
+      out << (first ? "" : ",\n") << "{\"rule\":";
+      json::write_string(out, spec.name);
+      out << ",\"severity\":\"" << slo_severity_name(spec.severity)
           << "\",\"app\":" << st.app
           << ",\"violated\":" << (st.violated ? "true" : "false")
           << ",\"value\":";
@@ -195,9 +111,9 @@ bool FlightRecorder::dump(std::ostream& out, const DumpInfo& info) const {
           << check::audit_rule_name(v.rule) << "\",\"w\":" << v.workload
           << ",\"detail\":" << v.detail << ",\"value\":";
       write_double(out, v.value);
-      out << ",\"message\":\"";
-      write_escaped(out, v.message);
-      out << "\"}";
+      out << ",\"message\":";
+      json::write_string(out, v.message);
+      out << "}";
       first = false;
     }
     if (!first) out << "\n";
@@ -293,23 +209,22 @@ std::optional<FlightDump> FlightDump::parse(std::istream& in) {
 
   FlightDump d;
   const std::size_t header_end = pos_slo == npos ? tv.size() : pos_slo;
-  d.version = tok_u64(token_in(tv, "flight_version", 0, header_end));
-  d.reason = unquote(token_in(tv, "reason", 0, header_end));
-  d.cause = unquote(token_in(tv, "cause", 0, header_end));
-  d.epoch = tok_u64(token_in(tv, "epoch", 0, header_end));
-  d.t_s = tok_double(token_in(tv, "t_s", 0, header_end));
+  d.version = json::to_u64(json::field(tv, "flight_version", 0, header_end));
+  d.reason = json::unquote(json::field(tv, "reason", 0, header_end));
+  d.cause = json::unquote(json::field(tv, "cause", 0, header_end));
+  d.epoch = json::to_u64(json::field(tv, "epoch", 0, header_end));
+  d.t_s = json::to_double(json::field(tv, "t_s", 0, header_end));
 
   if (pos_slo != npos && pos_audit != npos) {
     each_line(tv, pos_slo + 1, pos_audit, [&](std::string_view line) {
       if (line.find("\"rule\":") == npos) return;
       SloInstance s;
-      s.rule = unquote(token_in(line, "rule", 0, line.size()));
-      s.severity = unquote(token_in(line, "severity", 0, line.size()));
-      s.app = static_cast<std::int32_t>(
-          tok_i64(token_in(line, "app", 0, line.size())));
-      s.violated = token_in(line, "violated", 0, line.size()) == "true";
-      s.value = tok_double(token_in(line, "value", 0, line.size()));
-      s.violations = tok_u64(token_in(line, "fired", 0, line.size()));
+      s.rule = json::unquote(json::field(line, "rule"));
+      s.severity = json::unquote(json::field(line, "severity"));
+      s.app = json::to_i32(json::field(line, "app"));
+      s.violated = json::field(line, "violated") == "true";
+      s.value = json::to_double(json::field(line, "value"));
+      s.violations = json::to_u64(json::field(line, "fired"));
       d.slo.push_back(std::move(s));
     });
   }
@@ -317,20 +232,22 @@ std::optional<FlightDump> FlightDump::parse(std::istream& in) {
   if (pos_audit != npos) {
     const std::size_t audit_end = pos_trace == npos ? tv.size() : pos_trace;
     d.audit_present =
-        token_in(tv, "present", pos_audit, audit_end) == "true";
+        json::field(tv, "present", pos_audit, audit_end) == "true";
     if (d.audit_present) {
-      d.audit_epoch = tok_u64(token_in(tv, "epoch", pos_audit, audit_end));
-      d.audit_checks = tok_u64(token_in(tv, "checks", pos_audit, audit_end));
-      d.audit_level = unquote(token_in(tv, "level", pos_audit, audit_end));
+      const auto audit = [&](std::string_view key) {
+        return json::field(tv, key, pos_audit, audit_end);
+      };
+      d.audit_epoch = json::to_u64(audit("epoch"));
+      d.audit_checks = json::to_u64(audit("checks"));
+      d.audit_level = json::unquote(audit("level"));
       each_line(tv, pos_audit + 1, audit_end, [&](std::string_view line) {
         if (line.find("\"message\":") == npos) return;
         AuditViolation v;
-        v.rule = unquote(token_in(line, "rule", 0, line.size()));
-        v.workload = static_cast<std::int32_t>(
-            tok_i64(token_in(line, "w", 0, line.size())));
-        v.detail = tok_u64(token_in(line, "detail", 0, line.size()));
-        v.value = tok_double(token_in(line, "value", 0, line.size()));
-        v.message = unquote(token_in(line, "message", 0, line.size()));
+        v.rule = json::unquote(json::field(line, "rule"));
+        v.workload = json::to_i32(json::field(line, "w"));
+        v.detail = json::to_u64(json::field(line, "detail"));
+        v.value = json::to_double(json::field(line, "value"));
+        v.message = json::unquote(json::field(line, "message"));
         d.audit_violations.push_back(std::move(v));
       });
     }
@@ -357,11 +274,11 @@ std::optional<FlightDump> FlightDump::parse(std::istream& in) {
   if (pos_prov != npos) {
     d.provenance_present = true;
     d.provenance_decisions =
-        tok_u64(token_in(tv, "total_decisions", pos_prov, tv.size()));
+        json::to_u64(json::field(tv, "total_decisions", pos_prov));
     d.provenance_transitions =
-        tok_u64(token_in(tv, "total_transitions", pos_prov, tv.size()));
+        json::to_u64(json::field(tv, "total_transitions", pos_prov));
     d.provenance_pending =
-        tok_u64(token_in(tv, "pending", pos_prov, tv.size()));
+        json::to_u64(json::field(tv, "pending", pos_prov));
     std::istringstream stream(text.substr(pos_prov));
     d.provenance_tail = ProvenanceLedger::read_decisions_jsonl(stream);
   }

@@ -1,10 +1,10 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <string>
 #include <string_view>
+
+#include "obs/json_io.hpp"
 
 namespace vulcan::obs {
 
@@ -12,47 +12,6 @@ namespace {
 
 constexpr std::uint8_t kFlagSync = 1;
 constexpr std::uint8_t kFlagChunk = 2;
-
-/// Same lenient scanner as trace.cpp: find `"key":` and return the raw
-/// token up to the next ',' or '}'.
-std::string_view raw_field(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  auto start = pos + needle.size();
-  auto end = start;
-  bool in_string = false;
-  while (end < line.size()) {
-    const char c = line[end];
-    if (c == '"') in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-    ++end;
-  }
-  return line.substr(start, end - start);
-}
-
-std::uint64_t parse_u64(std::string_view tok) {
-  std::uint64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-std::int64_t parse_i64(std::string_view tok) {
-  std::int64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-double parse_double(std::string_view tok) {
-  return std::strtod(std::string(tok).c_str(), nullptr);
-}
-
-std::string_view unquote(std::string_view tok) {
-  if (tok.size() >= 2 && tok.front() == '"' && tok.back() == '"') {
-    return tok.substr(1, tok.size() - 2);
-  }
-  return tok;
-}
 
 DecisionStatus status_by_name(std::string_view name) {
   for (int s = 0; s <= static_cast<int>(DecisionStatus::kVetoed); ++s) {
@@ -347,30 +306,30 @@ std::vector<DecisionRow> ProvenanceLedger::read_decisions_jsonl(
   std::string line;
   while (std::getline(in, line)) {
     const std::string_view lv(line);
-    const std::string_view id_tok = raw_field(lv, "id");
+    const std::string_view id_tok = json::field(lv, "id");
     if (id_tok.empty()) continue;
     DecisionRow r;
-    r.id = parse_u64(id_tok);
+    r.id = json::to_u64(id_tok);
     if (r.id == 0) continue;
-    r.epoch = parse_u64(raw_field(lv, "epoch"));
-    r.app = static_cast<std::int32_t>(parse_i64(raw_field(lv, "app")));
-    r.page = parse_u64(raw_field(lv, "page"));
-    r.from_tier = static_cast<std::int32_t>(parse_i64(raw_field(lv, "from")));
-    r.to_tier = static_cast<std::int32_t>(parse_i64(raw_field(lv, "to")));
-    r.sync = unquote(raw_field(lv, "mode")) == "sync";
-    r.whole_chunk = parse_u64(raw_field(lv, "chunk")) != 0;
-    r.features.heat = parse_double(raw_field(lv, "heat"));
-    r.features.rank = parse_u64(raw_field(lv, "rank"));
-    r.features.threshold = parse_double(raw_field(lv, "threshold"));
-    r.features.queue_bias = parse_double(raw_field(lv, "queue_bias"));
-    r.features.predicted_benefit = parse_double(raw_field(lv, "benefit"));
-    r.status = status_by_name(unquote(raw_field(lv, "status")));
-    r.abort_reason = reason_by_name(unquote(raw_field(lv, "reason")));
-    r.outcome_epoch = parse_u64(raw_field(lv, "outcome_epoch"));
-    r.pages_moved = parse_u64(raw_field(lv, "pages"));
-    r.shootdown_ipis = parse_u64(raw_field(lv, "ipis"));
-    r.latency_cycles = parse_u64(raw_field(lv, "latency_cycles"));
-    r.final_tier = static_cast<std::int32_t>(parse_i64(raw_field(lv, "final")));
+    r.epoch = json::to_u64(json::field(lv, "epoch"));
+    r.app = json::to_i32(json::field(lv, "app"));
+    r.page = json::to_u64(json::field(lv, "page"));
+    r.from_tier = json::to_i32(json::field(lv, "from"));
+    r.to_tier = json::to_i32(json::field(lv, "to"));
+    r.sync = json::unquote(json::field(lv, "mode")) == "sync";
+    r.whole_chunk = json::to_u64(json::field(lv, "chunk")) != 0;
+    r.features.heat = json::to_double(json::field(lv, "heat"));
+    r.features.rank = json::to_u64(json::field(lv, "rank"));
+    r.features.threshold = json::to_double(json::field(lv, "threshold"));
+    r.features.queue_bias = json::to_double(json::field(lv, "queue_bias"));
+    r.features.predicted_benefit = json::to_double(json::field(lv, "benefit"));
+    r.status = status_by_name(json::unquote(json::field(lv, "status")));
+    r.abort_reason = reason_by_name(json::unquote(json::field(lv, "reason")));
+    r.outcome_epoch = json::to_u64(json::field(lv, "outcome_epoch"));
+    r.pages_moved = json::to_u64(json::field(lv, "pages"));
+    r.shootdown_ipis = json::to_u64(json::field(lv, "ipis"));
+    r.latency_cycles = json::to_u64(json::field(lv, "latency_cycles"));
+    r.final_tier = json::to_i32(json::field(lv, "final"));
     out.push_back(r);
   }
   return out;
@@ -382,17 +341,17 @@ std::vector<TransitionRow> ProvenanceLedger::read_transitions_jsonl(
   std::string line;
   while (std::getline(in, line)) {
     const std::string_view lv(line);
-    const std::string_view seq_tok = raw_field(lv, "seq");
+    const std::string_view seq_tok = json::field(lv, "seq");
     if (seq_tok.empty()) continue;
     TransitionRow r;
-    r.seq = parse_u64(seq_tok);
+    r.seq = json::to_u64(seq_tok);
     if (r.seq == 0) continue;
-    r.epoch = parse_u64(raw_field(lv, "epoch"));
-    r.app = static_cast<std::int32_t>(parse_i64(raw_field(lv, "app")));
-    r.page = parse_u64(raw_field(lv, "page"));
-    r.from_tier = static_cast<std::int32_t>(parse_i64(raw_field(lv, "from")));
-    r.to_tier = static_cast<std::int32_t>(parse_i64(raw_field(lv, "to")));
-    r.cause = parse_u64(raw_field(lv, "cause"));
+    r.epoch = json::to_u64(json::field(lv, "epoch"));
+    r.app = json::to_i32(json::field(lv, "app"));
+    r.page = json::to_u64(json::field(lv, "page"));
+    r.from_tier = json::to_i32(json::field(lv, "from"));
+    r.to_tier = json::to_i32(json::field(lv, "to"));
+    r.cause = json::to_u64(json::field(lv, "cause"));
     out.push_back(r);
   }
   return out;

@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <array>
-#include <charconv>
-#include <cstdlib>
 #include <string>
 #include <string_view>
+
+#include "obs/json_io.hpp"
 
 namespace vulcan::obs {
 
@@ -58,40 +58,6 @@ const KindInfo* info_by_name(std::string_view name) {
   return nullptr;
 }
 
-/// Find `"key":` in `line` and return the raw token after it (up to the
-/// next ',' or '}'). Empty view when absent.
-std::string_view raw_field(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  auto start = pos + needle.size();
-  auto end = start;
-  bool in_string = false;
-  while (end < line.size()) {
-    const char c = line[end];
-    if (c == '"') in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-    ++end;
-  }
-  return line.substr(start, end - start);
-}
-
-std::uint64_t parse_u64(std::string_view tok) {
-  std::uint64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-std::int64_t parse_i64(std::string_view tok) {
-  std::int64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-double parse_double(std::string_view tok) {
-  return std::strtod(std::string(tok).c_str(), nullptr);
-}
-
 }  // namespace
 
 void TraceRing::write_events_jsonl(std::span<const TraceEvent> events,
@@ -115,19 +81,19 @@ std::vector<TraceEvent> TraceRing::read_jsonl(std::istream& in) {
   std::string line;
   while (std::getline(in, line)) {
     const std::string_view lv(line);
-    std::string_view kind_tok = raw_field(lv, "kind");
+    std::string_view kind_tok = json::field(lv, "kind");
     if (kind_tok.size() < 2 || kind_tok.front() != '"') continue;
     kind_tok = kind_tok.substr(1, kind_tok.size() - 2);
     const KindInfo* ki = info_by_name(kind_tok);
     if (!ki) continue;
     TraceEvent e;
     e.kind = ki->kind;
-    e.seq = parse_u64(raw_field(lv, "seq"));
-    e.time = parse_u64(raw_field(lv, "t"));
-    e.workload = static_cast<std::int32_t>(parse_i64(raw_field(lv, "w")));
-    e.a = parse_u64(raw_field(lv, ki->a_name));
-    e.b = parse_u64(raw_field(lv, ki->b_name));
-    if (ki->v_name) e.v = parse_double(raw_field(lv, ki->v_name));
+    e.seq = json::to_u64(json::field(lv, "seq"));
+    e.time = json::to_u64(json::field(lv, "t"));
+    e.workload = json::to_i32(json::field(lv, "w"));
+    e.a = json::to_u64(json::field(lv, ki->a_name));
+    e.b = json::to_u64(json::field(lv, ki->b_name));
+    if (ki->v_name) e.v = json::to_double(json::field(lv, ki->v_name));
     out.push_back(e);
   }
   return out;

@@ -1,7 +1,7 @@
 // The determinism contract of vulcan::exec, end to end: every battery's
 // merged output is byte-identical (or structurally equal) for any worker
-// count, including 1. These are the in-process versions of the whatif-smoke
-// CI byte-compares.
+// count, including 1. These are the in-process versions of the
+// byte-compares in scripts/smoke.sh.
 #include <gtest/gtest.h>
 
 #include <sstream>

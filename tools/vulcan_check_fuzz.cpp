@@ -4,7 +4,7 @@
 // several --jobs levels, asserting that each run passes the invariant
 // audit and that the deterministic artefacts are byte-identical across
 // job counts. Exit 0 on a clean campaign, 1 on any failure, 2 on usage
-// errors. CI runs this on a few fixed seeds (see .github/workflows).
+// errors. CI runs this on a few fixed seeds (`scripts/smoke.sh fuzz`).
 //
 //   vulcan_check_fuzz --seed 3 --scenarios 2 --seconds 2.5
 //   vulcan_check_fuzz --policies vulcan,tpp --jobs 1,4 --level basic
@@ -18,6 +18,8 @@
 #include <vector>
 
 #include <vulcan/vulcan.hpp>
+
+#include "cli.hpp"
 
 using namespace vulcan;
 
@@ -65,72 +67,43 @@ std::vector<std::string> split_list(const std::string& csv) {
 
 int main(int argc, char** argv) {
   check::FuzzOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv);
+  while (args.more()) {
+    const std::string flag = args.flag();
     if (flag == "--help" || flag == "-h") {
       usage();
       return 0;
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = args.u64();
     } else if (flag == "--scenarios") {
-      options.scenarios =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      options.scenarios = args.uint();
     } else if (flag == "--jobs") {
+      const std::string list = args.next();
       options.jobs.clear();
-      for (const std::string& j : split_list(next())) {
-        options.jobs.push_back(
-            static_cast<unsigned>(std::strtoul(j.c_str(), nullptr, 10)));
+      for (const std::string& j : split_list(list)) {
+        const auto jobs = cli::parse_unsigned(j);
+        if (!jobs) cli::invalid(flag, list);
+        options.jobs.push_back(*jobs);
       }
     } else if (flag == "--policies") {
-      options.policies = split_list(next());
+      options.policies = split_list(args.next());
     } else if (flag == "--seconds") {
-      options.seconds = std::atof(next());
+      options.seconds = args.non_negative();
     } else if (flag == "--level") {
-      const auto parsed = check::parse_audit_level(next());
+      const auto parsed = check::parse_audit_level(args.next());
       if (!parsed) {
         std::fprintf(stderr, "unknown audit level (off | basic | full)\n");
         return 2;
       }
       options.level = *parsed;
     } else if (flag == "--flight-on-fail") {
-      options.flight_dir = next();
+      options.flight_dir = args.next();
     } else if (flag == "--vary-hotpath") {
-      const std::string v = next();
-      if (v == "on" || v == "1" || v == "true") {
-        options.vary_hotpath = true;
-      } else if (v == "off" || v == "0" || v == "false") {
-        options.vary_hotpath = false;
-      } else {
-        std::fprintf(stderr, "--vary-hotpath takes on|off\n");
-        return 2;
-      }
+      options.vary_hotpath = args.on_off();
     } else if (flag == "--vary-admission") {
-      const std::string v = next();
-      if (v == "on" || v == "1" || v == "true") {
-        options.vary_admission = true;
-      } else if (v == "off" || v == "0" || v == "false") {
-        options.vary_admission = false;
-      } else {
-        std::fprintf(stderr, "--vary-admission takes on|off\n");
-        return 2;
-      }
+      options.vary_admission = args.on_off();
     } else if (flag == "--provenance") {
-      const std::string v = next();
-      if (v == "on" || v == "1" || v == "true") {
-        options.provenance = true;
-      } else if (v == "off" || v == "0" || v == "false") {
-        options.provenance = false;
-      } else {
-        std::fprintf(stderr, "--provenance takes on|off\n");
-        return 2;
-      }
+      options.provenance = args.on_off();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return 2;

@@ -21,6 +21,8 @@
 
 #include <vulcan/vulcan.hpp>
 
+#include "cli.hpp"
+
 using namespace vulcan;
 
 namespace {
@@ -70,30 +72,24 @@ int main(int argc, char** argv) {
   std::size_t top = 24;
   double min_cycles = 0.0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv);
+  while (args.more()) {
+    const std::string flag = args.flag();
     if (flag == "--help" || flag == "-h") {
       usage();
       return 0;
     } else if (flag == "--before") {
-      before_path = next();
+      before_path = args.next();
     } else if (flag == "--after") {
-      after_path = next();
+      after_path = args.next();
     } else if (flag == "--before-trace") {
-      before_trace = next();
+      before_trace = args.next();
     } else if (flag == "--after-trace") {
-      after_trace = next();
+      after_trace = args.next();
     } else if (flag == "--top") {
-      top = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      top = static_cast<std::size_t>(args.u64());
     } else if (flag == "--min-cycles") {
-      min_cycles = std::atof(next());
+      min_cycles = args.real();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return 2;

@@ -8,8 +8,8 @@
 // --jobs 1 battery export byte-compare equal to a --jobs 8 one.
 //
 //   vulcan_sim --scenario dilemma --seconds 20 --provenance /tmp/dilemma
-//   vulcan_pagescope --transitions /tmp/dilemma.vulcan.transitions.jsonl \
-//                    --decisions   /tmp/dilemma.vulcan.decisions.jsonl \
+//   vulcan_pagescope --transitions /tmp/dilemma.vulcan.transitions.jsonl
+//                    --decisions   /tmp/dilemma.vulcan.decisions.jsonl
 //                    --churn --thrash 10
 //   vulcan_pagescope --transitions ... --history 0:1234
 //   vulcan_pagescope --transitions ... --heatmap heat.csv
@@ -24,6 +24,8 @@
 #include <vector>
 
 #include <vulcan/vulcan.hpp>
+
+#include "cli.hpp"
 
 using namespace vulcan;
 
@@ -63,14 +65,14 @@ struct Options {
   bool digest = false;
 };
 
-bool parse_history_target(const std::string& spec, Options& o) {
+bool parse_history_target(std::string_view spec, Options& o) {
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    return false;
-  }
-  o.history_app =
-      static_cast<std::int32_t>(std::strtol(spec.c_str(), nullptr, 10));
-  o.history_page = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
+  if (colon == std::string_view::npos) return false;
+  const auto app = cli::parse_unsigned(spec.substr(0, colon));
+  const auto page = cli::parse_u64(spec.substr(colon + 1));
+  if (!app || *app > INT32_MAX || !page) return false;
+  o.history_app = static_cast<std::int32_t>(*app);
+  o.history_page = *page;
   return true;
 }
 
@@ -85,37 +87,31 @@ void print_digest(const char* name, const std::string& bytes) {
 
 int main(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv);
+  while (args.more()) {
+    const std::string flag = args.flag();
     if (flag == "--help" || flag == "-h") {
       usage();
       return 0;
     } else if (flag == "--transitions") {
-      o.transitions_path = next();
+      o.transitions_path = args.next();
     } else if (flag == "--decisions") {
-      o.decisions_path = next();
+      o.decisions_path = args.next();
     } else if (flag == "--churn") {
       o.churn = true;
     } else if (flag == "--thrash") {
       o.thrash = true;
-      o.thrash_n = std::strtoull(next(), nullptr, 10);
+      o.thrash_n = args.u64();
     } else if (flag == "--history") {
       o.history = true;
-      if (!parse_history_target(next(), o)) {
+      if (!parse_history_target(args.next(), o)) {
         std::fprintf(stderr, "--history takes APP:PAGE (e.g. 0:1234)\n");
         return 2;
       }
     } else if (flag == "--heatmap") {
-      o.heatmap_path = next();
+      o.heatmap_path = args.next();
     } else if (flag == "--window") {
-      o.window = std::strtoull(next(), nullptr, 10);
+      o.window = args.u64();
     } else if (flag == "--digest") {
       o.digest = true;
     } else {

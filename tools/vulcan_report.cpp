@@ -4,8 +4,7 @@
 // accounting table, the fairness indices and the worst offender's critical
 // path through the span timeline:
 //
-//   vulcan_sim --scenario dilemma --seconds 20 \
-//              --metrics m.json --trace t.jsonl
+//   vulcan_sim --scenario dilemma --seconds 20 --metrics m.json --trace t.jsonl
 //   vulcan_report --metrics m.json --trace t.jsonl
 //
 // Output is deterministic: identical-seed runs produce byte-identical
@@ -19,6 +18,8 @@
 #include <vector>
 
 #include <vulcan/vulcan.hpp>
+
+#include "cli.hpp"
 
 using namespace vulcan;
 
@@ -42,24 +43,18 @@ void usage() {
 
 int main(int argc, char** argv) {
   std::string metrics_path, trace_path, flight_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv);
+  while (args.more()) {
+    const std::string flag = args.flag();
     if (flag == "--help" || flag == "-h") {
       usage();
       return 0;
     } else if (flag == "--metrics") {
-      metrics_path = next();
+      metrics_path = args.next();
     } else if (flag == "--trace") {
-      trace_path = next();
+      trace_path = args.next();
     } else if (flag == "--flight") {
-      flight_path = next();
+      flight_path = args.next();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return 2;

@@ -30,6 +30,8 @@
 
 #include <vulcan/vulcan.hpp>
 
+#include "cli.hpp"
+
 using namespace vulcan;
 
 namespace {
@@ -150,71 +152,49 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Options& o) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv);
+  while (args.more()) {
+    const std::string flag = args.flag();
     if (flag == "--help" || flag == "-h") o.help = true;
-    else if (flag == "--policy") o.policy = next();
-    else if (flag == "--policies") o.policies = next();
-    else if (flag == "--jobs")
-      o.jobs = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    else if (flag == "--scenario") o.scenario = next();
-    else if (flag == "--profiler") o.profiler = next();
-    else if (flag == "--csv") o.csv = next();
-    else if (flag == "--trace") o.trace_out = next();
-    else if (flag == "--metrics") o.metrics_out = next();
-    else if (flag == "--perfetto") o.perfetto_out = next();
-    else if (flag == "--folded") o.folded_out = next();
-    else if (flag == "--bench-json") o.bench_json = next();
+    else if (flag == "--policy") o.policy = args.next();
+    else if (flag == "--policies") o.policies = args.next();
+    else if (flag == "--jobs") o.jobs = args.uint();
+    else if (flag == "--scenario") o.scenario = args.next();
+    else if (flag == "--profiler") o.profiler = args.next();
+    else if (flag == "--csv") o.csv = args.next();
+    else if (flag == "--trace") o.trace_out = args.next();
+    else if (flag == "--metrics") o.metrics_out = args.next();
+    else if (flag == "--perfetto") o.perfetto_out = args.next();
+    else if (flag == "--folded") o.folded_out = args.next();
+    else if (flag == "--bench-json") o.bench_json = args.next();
     else if (flag == "--no-spans") o.no_spans = true;
-    else if (flag == "--seconds") o.seconds = std::atof(next());
-    else if (flag == "--epoch-ms") o.epoch_ms = std::atof(next());
-    else if (flag == "--samples") o.samples = std::strtoull(next(), nullptr, 10);
-    else if (flag == "--seed") o.seed = std::strtoull(next(), nullptr, 10);
-    else if (flag == "--rss") o.rss = std::strtoull(next(), nullptr, 10);
-    else if (flag == "--wss") o.wss = std::strtoull(next(), nullptr, 10);
-    else if (flag == "--write-ratio") o.write_ratio = std::atof(next());
-    else if (flag == "--rate") o.rate = std::atof(next());
-    else if (flag == "--drift") o.drift = std::atof(next());
-    else if (flag == "--apps")
-      o.apps = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    else if (flag == "--churn") o.churn = std::atof(next());
-    else if (flag == "--lc-frac") o.lc_frac = std::atof(next());
-    else if (flag == "--be-frac") o.be_frac = std::atof(next());
-    else if (flag == "--lifetime") o.lifetime = std::atof(next());
-    else if (flag == "--record-trace") o.record_trace = next();
-    else if (flag == "--replay-trace") o.replay_trace = next();
-    else if (flag == "--audit") {
-      // The level is optional: a bare --audit means "full".
-      if (i + 1 < argc && argv[i + 1][0] != '-') o.audit = argv[++i];
-      else o.audit = "full";
-    }
-    else if (flag == "--slo") {
-      // The pack name is optional: a bare --slo means "default".
-      if (i + 1 < argc && argv[i + 1][0] != '-') o.slo = argv[++i];
-      else o.slo = "default";
-    }
-    else if (flag == "--timeseries") o.timeseries_out = next();
-    else if (flag == "--provenance") o.provenance_out = next();
-    else if (flag == "--flight-dump") o.flight_dump = next();
-    else if (flag == "--telemetry-bench") o.telemetry_bench = next();
-    else if (flag == "--admission") {
-      const std::string v = next();
-      if (v == "on" || v == "1" || v == "true") o.admission = true;
-      else if (v == "off" || v == "0" || v == "false") o.admission = false;
-      else {
-        std::fprintf(stderr, "--admission: expected on|off, got %s\n",
-                     v.c_str());
-        return false;
-      }
-    }
-    else if (flag == "--admission-margin") o.admission_margin = std::atof(next());
+    else if (flag == "--seconds") o.seconds = args.non_negative();
+    else if (flag == "--epoch-ms") o.epoch_ms = args.real();
+    else if (flag == "--samples") o.samples = args.u64();
+    else if (flag == "--seed") o.seed = args.u64();
+    else if (flag == "--rss") o.rss = args.u64();
+    else if (flag == "--wss") o.wss = args.u64();
+    else if (flag == "--write-ratio") o.write_ratio = args.real();
+    else if (flag == "--rate") o.rate = args.real();
+    else if (flag == "--drift") o.drift = args.real();
+    else if (flag == "--apps") o.apps = args.uint();
+    else if (flag == "--churn") o.churn = args.real();
+    else if (flag == "--lc-frac") o.lc_frac = args.real();
+    else if (flag == "--be-frac") o.be_frac = args.real();
+    else if (flag == "--lifetime") o.lifetime = args.real();
+    else if (flag == "--record-trace") o.record_trace = args.next();
+    else if (flag == "--replay-trace") o.replay_trace = args.next();
+    // The level is optional: a bare --audit means "full".
+    else if (flag == "--audit") o.audit = args.next_or("full");
+    // The pack name is optional: a bare --slo means "default".
+    else if (flag == "--slo") o.slo = args.next_or("default");
+    else if (flag == "--timeseries") o.timeseries_out = args.next();
+    else if (flag == "--provenance") o.provenance_out = args.next();
+    else if (flag == "--flight-dump") o.flight_dump = args.next();
+    else if (flag == "--telemetry-bench") o.telemetry_bench = args.next();
+    else if (flag == "--admission") o.admission = args.on_off();
+    else if (flag == "--admission-margin")
+      o.admission_margin = args.non_negative();
     else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;

@@ -12,7 +12,7 @@
 // across an exec worker pool; results merge in grid order, so identical
 // seed + grid produce byte-identical table and JSON *for any job count*
 // (asserted by obs_whatif_test, exec_parallel_equivalence_test and the
-// whatif-smoke CI job).
+// `whatif` job of scripts/smoke.sh).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +23,8 @@
 #include <vector>
 
 #include <vulcan/vulcan.hpp>
+
+#include "cli.hpp"
 
 using namespace vulcan;
 
@@ -63,34 +65,28 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   unsigned jobs = 0;  // 0 = hardware concurrency, capped by the grid
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv);
+  while (args.more()) {
+    const std::string flag = args.flag();
     if (flag == "--help" || flag == "-h") {
       usage();
       return 0;
     } else if (flag == "--grid") {
-      grid_name = next();
+      grid_name = args.next();
     } else if (flag == "--plan") {
-      plan_path = next();
+      plan_path = args.next();
     } else if (flag == "--scenario") {
-      scenario_name = next();
+      scenario_name = args.next();
     } else if (flag == "--policy") {
-      policy = next();
+      policy = args.next();
     } else if (flag == "--seconds") {
-      seconds = std::atof(next());
+      seconds = args.non_negative();
     } else if (flag == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = args.u64();
     } else if (flag == "--jobs") {
-      jobs = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      jobs = args.uint();
     } else if (flag == "--out") {
-      out_path = next();
+      out_path = args.next();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return 2;
