@@ -60,6 +60,8 @@ const KindInfo* info_by_name(std::string_view name) {
 
 }  // namespace
 
+const char* event_kind_name(EventKind kind) { return info_of(kind).name; }
+
 void TraceRing::write_events_jsonl(std::span<const TraceEvent> events,
                                    std::ostream& out) {
   for (const TraceEvent& e : events) {

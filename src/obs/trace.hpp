@@ -53,6 +53,9 @@ enum class EventKind : std::uint8_t {
   kWorkloadDeparted,
 };
 
+/// The kind's name as the JSONL trace spells it ("epoch_start", ...).
+const char* event_kind_name(EventKind kind);
+
 /// The five phases of one migration operation (§2.1): kernel trap /
 /// preparation, PTE unmap, TLB shootdown, content copy, PTE remap.
 enum class MigPhase : std::uint8_t {

@@ -13,6 +13,7 @@
 #include "policy/mtm.hpp"
 #include "policy/nomad.hpp"
 #include "policy/tpp.hpp"
+#include "runtime/fleet.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::runtime {
@@ -241,6 +242,36 @@ std::vector<MechanismSpeedupRow> mechanism_speedup_battery(
   return rows;
 }
 
+namespace {
+
+/// (workload name, steady-state slowdown) per workload slot, averaged over
+/// the second half of the run like `vulcan_sim`.
+std::vector<std::pair<std::string, double>> app_slowdowns(TieredSystem& sys) {
+  const MetricsRecorder& m = sys.metrics();
+  const std::size_t from = m.epochs().size() / 2;
+  std::vector<std::pair<std::string, double>> apps;
+  for (unsigned w = 0; w < sys.workload_count(); ++w) {
+    const double perf = m.mean_performance(w, from);
+    apps.emplace_back(sys.workload(w).spec().name,
+                      perf > 0 ? 1.0 / perf : 1.0);
+  }
+  return apps;
+}
+
+/// Migration cost of a finished run: pages migrated and remote cores
+/// IPI'd, summed over every workload slot.
+void migration_cost(TieredSystem& sys, std::uint64_t& pages,
+                    std::uint64_t& ipis) {
+  pages = ipis = 0;
+  for (unsigned w = 0; w < sys.workload_count(); ++w) {
+    const mig::MigrationStats& t = sys.migrator(w).totals();
+    pages += t.migrated;
+    ipis += t.shootdown_ipis;
+  }
+}
+
+}  // namespace
+
 std::vector<PolicyRunSummary> run_policy_battery(
     const ScenarioSpec& spec, std::span<const std::string> policies,
     unsigned jobs, exec::BatchStats* stats) {
@@ -273,15 +304,6 @@ std::vector<PolicyRunSummary> run_policy_battery(
             run_staged(*sys, spec.stage(), spec.seconds);
             return sys;
           };
-      const auto migration_cost = [](TieredSystem& s, std::uint64_t& pages,
-                                     std::uint64_t& ipis) {
-        pages = ipis = 0;
-        for (unsigned w = 0; w < s.workload_count(); ++w) {
-          const mig::MigrationStats& t = s.migrator(w).totals();
-          pages += t.migrated;
-          ipis += t.shootdown_ipis;
-        }
-      };
 
       // The admission-off run first: its artefacts are the summary's
       // regular fields and stay byte-identical whether or not the compare
@@ -293,13 +315,8 @@ std::vector<PolicyRunSummary> run_policy_battery(
       summary.policy = policy;
       summary.jain = sys.app_stats().jain_cumulative();
       summary.cfi = sys.fairness_cfi();
-      const MetricsRecorder& m = sys.metrics();
-      const std::size_t from = m.epochs().size() / 2;
-      for (unsigned w = 0; w < sys.workload_count(); ++w) {
-        const double perf = m.mean_performance(w, from);
-        summary.apps.emplace_back(sys.workload(w).spec().name,
-                                  perf > 0 ? 1.0 / perf : 1.0);
-      }
+      summary.apps = app_slowdowns(sys);
+      summary.windows = fleet_windows(sys.obs_timeseries());
       summary.snapshot = obs::snapshot_registry(sys.obs_registry());
       if (spec.capture_timeseries) {
         std::ostringstream rows;
@@ -321,13 +338,8 @@ std::vector<PolicyRunSummary> run_policy_battery(
         const std::unique_ptr<TieredSystem> on = run_once(true);
         cmp.jain = on->app_stats().jain_cumulative();
         cmp.cfi = on->fairness_cfi();
-        const MetricsRecorder& om = on->metrics();
-        const std::size_t ofrom = om.epochs().size() / 2;
-        for (unsigned w = 0; w < on->workload_count(); ++w) {
-          const double perf = om.mean_performance(w, ofrom);
-          cmp.apps.emplace_back(on->workload(w).spec().name,
-                                perf > 0 ? 1.0 / perf : 1.0);
-        }
+        cmp.apps = app_slowdowns(*on);
+        cmp.windows = fleet_windows(on->obs_timeseries());
         migration_cost(*on, cmp.pages_migrated, cmp.shootdown_ipis);
         const mig::AdmissionController* ctl = on->admission_controller();
         cmp.admitted = ctl ? ctl->admitted() : 0;

@@ -147,6 +147,17 @@ struct ScenarioSpec {
   std::optional<mig::AdmissionSpec> admission_compare;
 };
 
+/// One tail-fairness reporting window of a battery run, read from the
+/// run's time-series store (runtime::fleet_windows).
+struct FleetWindowRow {
+  std::uint64_t window = 0;     ///< TimeSeriesStore window index
+  double time_s = 0.0;          ///< window start in simulated seconds
+  double worst_slowdown = 1.0;  ///< max worst-app slowdown in the window
+  double jain_min = 1.0;        ///< windowed floor of per-epoch Jain
+  double live_apps = 0.0;       ///< live workloads at the window's end
+  bool operator==(const FleetWindowRow&) const = default;
+};
+
 /// The with-admission half of an admission ablation (see
 /// ScenarioSpec::admission_compare). `base_*` mirrors the admission-off
 /// run so consumers can print cost deltas without re-deriving them.
@@ -156,6 +167,8 @@ struct AdmissionCompare {
   /// (workload name, steady-state slowdown), same convention as
   /// PolicyRunSummary::apps.
   std::vector<std::pair<std::string, double>> apps;
+  /// Tail-fairness windows of the admission-on run, oldest first.
+  std::vector<FleetWindowRow> windows;
   /// Migration cost under admission: pages actually migrated and remote
   /// cores interrupted (summed over workloads).
   std::uint64_t pages_migrated = 0;
@@ -177,6 +190,10 @@ struct PolicyRunSummary {
   /// averaged over the second half of the run like `vulcan_sim`.
   std::vector<std::pair<std::string, double>> apps;
   obs::MetricsSnapshot snapshot;  ///< the run's full registry
+  /// Tail-fairness windows of the run's time-series store, oldest first
+  /// (a fleet scenario's configure installs fleet_timeseries_config so
+  /// they span the whole run). Not part of the fuzz digest.
+  std::vector<FleetWindowRow> windows;
   /// The run's time-series export (JSONL rows) when the scenario set
   /// capture_timeseries; empty otherwise. Not part of the fuzz digest.
   std::string timeseries;

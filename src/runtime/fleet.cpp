@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 
 #include "sim/rng.hpp"
 
@@ -116,18 +115,13 @@ std::vector<FleetWindowRow> fleet_windows(const obs::TimeSeriesStore& store) {
   return out;
 }
 
-FleetPolicyResult summarize_fleet_run(TieredSystem& sys, std::string policy) {
-  FleetPolicyResult result;
-  result.policy = std::move(policy);
-  result.jain_cumulative = sys.app_stats().jain_cumulative();
-  result.windows = fleet_windows(sys.obs_timeseries());
-
+TailFairness tail_fairness(std::span<const FleetWindowRow> windows) {
+  TailFairness tail;
   std::vector<double> window_worst;
-  window_worst.reserve(result.windows.size());
-  for (const FleetWindowRow& row : result.windows) {
-    result.worst_slowdown_overall =
-        std::max(result.worst_slowdown_overall, row.worst_slowdown);
-    result.jain_floor = std::min(result.jain_floor, row.jain_min);
+  window_worst.reserve(windows.size());
+  for (const FleetWindowRow& row : windows) {
+    tail.worst_slowdown = std::max(tail.worst_slowdown, row.worst_slowdown);
+    tail.jain_floor = std::min(tail.jain_floor, row.jain_min);
     window_worst.push_back(row.worst_slowdown);
   }
   if (!window_worst.empty()) {
@@ -136,74 +130,21 @@ FleetPolicyResult summarize_fleet_run(TieredSystem& sys, std::string policy) {
         window_worst.size() - 1,
         static_cast<std::size_t>(
             std::ceil(0.99 * static_cast<double>(window_worst.size())) - 1));
-    result.worst_slowdown_p99 = window_worst[at];
+    tail.worst_slowdown_p99 = window_worst[at];
   }
-  result.snapshot = obs::snapshot_registry(sys.obs_registry());
-  return result;
+  return tail;
 }
 
-std::vector<FleetPolicyResult> run_fleet_battery(
-    const FleetSpec& spec, std::span<const std::string> policies,
-    unsigned jobs, exec::BatchStats* stats) {
-  exec::BatchRunner runner(jobs);
-  std::vector<std::function<FleetPolicyResult()>> batch;
-  batch.reserve(policies.size());
-  for (const std::string& policy : policies) {
-    batch.push_back([&spec, policy] {
-      const auto run_once = [&spec, &policy](bool with_admission) {
-        SystemBuilder b;
-        b.timeseries(fleet_timeseries_config(spec.seconds));
-        if (with_admission) {
-          mig::AdmissionSpec adm = *spec.admission_compare;
-          adm.enabled = true;  // compare mode means "on", always
-          b.admission(adm);
-        }
-        b.seed(spec.seed).policy(std::string_view(policy));
-        BuildResult built = b.build();
-        if (!built) {
-          throw std::runtime_error(policy + ": " + built.error());
-        }
-        std::unique_ptr<TieredSystem> sys = std::move(built.value());
-        run_staged(*sys, make_fleet(spec), spec.seconds);
-        return sys;
-      };
-      const auto migration_cost = [](TieredSystem& s, std::uint64_t& pages,
-                                     std::uint64_t& ipis) {
-        pages = ipis = 0;
-        for (unsigned w = 0; w < s.workload_count(); ++w) {
-          const mig::MigrationStats& t = s.migrator(w).totals();
-          pages += t.migrated;
-          ipis += t.shootdown_ipis;
-        }
-      };
-
-      // Admission-off run first: its artefacts are the result's regular
-      // fields whether or not a compare rerun follows.
-      std::unique_ptr<TieredSystem> sys = run_once(false);
-      FleetPolicyResult result = summarize_fleet_run(*sys, policy);
-      if (spec.admission_compare) {
-        FleetAdmissionCompare cmp;
-        migration_cost(*sys, cmp.base_pages_migrated,
-                       cmp.base_shootdown_ipis);
-        const std::unique_ptr<TieredSystem> on = run_once(true);
-        const FleetPolicyResult with = summarize_fleet_run(*on, policy);
-        cmp.jain_cumulative = with.jain_cumulative;
-        cmp.worst_slowdown_overall = with.worst_slowdown_overall;
-        cmp.worst_slowdown_p99 = with.worst_slowdown_p99;
-        cmp.jain_floor = with.jain_floor;
-        migration_cost(*on, cmp.pages_migrated, cmp.shootdown_ipis);
-        const mig::AdmissionController* ctl = on->admission_controller();
-        cmp.admitted = ctl ? ctl->admitted() : 0;
-        cmp.vetoed = ctl ? ctl->vetoed() : 0;
-        result.admission = cmp;
-      }
-      return result;
-    });
-  }
-  auto results = exec::values_or_throw(runner.run(std::move(batch)),
-                                       "fleet battery");
-  if (stats) *stats = runner.stats();
-  return results;
+ScenarioSpec fleet_scenario(const FleetSpec& spec) {
+  ScenarioSpec scenario;
+  scenario.name = "fleet";
+  scenario.seconds = spec.seconds;
+  scenario.seed = spec.seed;
+  scenario.configure = [seconds = spec.seconds](SystemBuilder& b) {
+    b.timeseries(fleet_timeseries_config(seconds));
+  };
+  scenario.stage = [spec] { return make_fleet(spec); };
+  return scenario;
 }
 
 }  // namespace vulcan::runtime

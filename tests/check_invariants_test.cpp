@@ -96,6 +96,9 @@ TEST(AuditorFaultInjection, CorruptPteIsCaughtAsFreedFrame) {
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, AuditRule::kFreedFrame))
       << format_report(report);
+  // Undo the corruption: teardown frees every mapped frame, and freeing
+  // the bogus one would be a double free.
+  as.tables().set(vpn, pte);
 }
 
 TEST(AuditorFaultInjection, LeakedFrameIsCaughtAsConservationBreak) {

@@ -66,8 +66,11 @@ TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   sys.run_epochs(2);
   ASSERT_FALSE(sys.flight().auto_dumped());
 
+  // Audit straight after poisoning: another epoch would translate through
+  // the poisoned walk cache before its boundary audit, and Debug builds
+  // assert on that walk first.
   poison_pwc(sys);
-  EXPECT_THROW(sys.run_epochs(1), check::AuditFailure);
+  EXPECT_THROW(sys.run_audit(), check::AuditFailure);
   ASSERT_TRUE(sys.flight().auto_dumped());
   EXPECT_EQ(sys.flight().auto_dump_path(), path);
 
@@ -77,9 +80,9 @@ TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   ASSERT_TRUE(dump.has_value());
   EXPECT_EQ(dump->version, 1u);
   EXPECT_EQ(dump->reason, "audit_failure");
-  EXPECT_EQ(dump->epoch, 3u);
+  EXPECT_EQ(dump->epoch, 2u);
   ASSERT_TRUE(dump->audit_present);
-  EXPECT_EQ(dump->audit_epoch, 3u);
+  EXPECT_EQ(dump->audit_epoch, 2u);
   ASSERT_FALSE(dump->audit_violations.empty());
   EXPECT_EQ(dump->audit_violations.front().rule, "pwc_coherence");
   // The whole telemetry storey made it into the box.

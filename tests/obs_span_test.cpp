@@ -399,6 +399,28 @@ TEST(SystemSpans, PerfettoExportIsValidAndNested) {
   }
 }
 
+TEST(SystemSpans, PerfettoNamesEveryInstantKind) {
+  // Abort and departure events are instants like any other: they carry
+  // the trace's kind names, never a placeholder.
+  std::vector<TraceEvent> events(2);
+  events[0].seq = 0;
+  events[0].time = 10;
+  events[0].kind = EventKind::kMigAbort;
+  events[0].workload = 0;
+  events[1].seq = 1;
+  events[1].time = 20;
+  events[1].kind = EventKind::kWorkloadDeparted;
+  events[1].workload = 1;
+  std::ostringstream out;
+  ASSERT_TRUE(write_perfetto(events, out));
+  std::vector<std::string> names;
+  for (const PerfettoRecord& r : scan_perfetto(out.str())) {
+    if (r.ph == 'i') names.push_back(r.name);
+  }
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"mig_abort", "workload_departed"}));
+}
+
 TEST(SystemSpans, ExportsAreByteIdenticalAcrossIdenticalSeeds) {
   const auto render = [] {
     const auto sys = run_fixed_seed(4);

@@ -14,6 +14,7 @@
 #include "obs/provenance.hpp"
 #include "runtime/builder.hpp"
 #include "runtime/experiment.hpp"
+#include "runtime/fleet.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::runtime {
@@ -170,24 +171,39 @@ TEST(AdmissionRuntime, BatteryAblationIsDeterministicAcrossJobs) {
   }
 }
 
+/// A 12-app fleet with aggressive arrival/departure churn.
+ScenarioSpec churned_fleet_spec() {
+  FleetSpec fleet;
+  fleet.apps = 12;
+  fleet.seconds = 8.0;
+  fleet.seed = 1234;
+  fleet.churn_per_min = 60.0;
+  fleet.mean_lifetime_s = 3.0;
+  return fleet_scenario(fleet);
+}
+
 TEST(AdmissionRuntime, AblationLeavesBaselineColumnsUntouched) {
   // The with/without columns live in ONE battery: attaching the ablation
   // must not perturb the admission-off fields (they are what the pinned
-  // fuzz digests fold).
+  // fuzz digests fold), on the two-app scenario and on the churned fleet
+  // alike, tail-fairness windows included.
   const std::vector<std::string> policies = {"vulcan"};
-  auto with = run_policy_battery(
-      [] {
-        ScenarioSpec s = pressured_spec();
-        s.admission_compare = mig::AdmissionSpec{};
-        return s;
-      }(),
-      policies, 1);
-  const auto without = run_policy_battery(pressured_spec(), policies, 1);
+  for (const ScenarioSpec& base : {pressured_spec(), churned_fleet_spec()}) {
+    SCOPED_TRACE(base.name);
+    ScenarioSpec ablated = base;
+    ablated.admission_compare = mig::AdmissionSpec{};
+    auto with = run_policy_battery(ablated, policies, 1);
+    const auto without = run_policy_battery(base, policies, 1);
 
-  ASSERT_TRUE(with[0].admission.has_value());
-  // Strip the ablation column; everything left must be byte-identical.
-  with[0].admission.reset();
-  EXPECT_EQ(check::serialize_battery(with), check::serialize_battery(without));
+    ASSERT_TRUE(with[0].admission.has_value());
+    EXPECT_FALSE(with[0].admission->windows.empty());
+    // Strip the ablation column; everything left must be byte-identical.
+    with[0].admission.reset();
+    EXPECT_EQ(check::serialize_battery(with),
+              check::serialize_battery(without));
+    EXPECT_GT(without[0].windows.size(), 1u);
+    EXPECT_EQ(with[0].windows, without[0].windows);
+  }
 }
 
 }  // namespace

@@ -208,19 +208,21 @@ TEST(FleetChurn, SeededResidencyLeakTripsTheDepartedAudit) {
 TEST(FleetBattery, ByteIdenticalAcrossJobCounts) {
   // cascade rides along deliberately: its global heat ranking indexes the
   // live-view span, the exact structure churn compacts.
-  const FleetSpec spec = small_churned_fleet();
+  const ScenarioSpec spec = fleet_scenario(small_churned_fleet());
   const std::vector<std::string> roster = {"vulcan", "cascade"};
-  const auto serial = run_fleet_battery(spec, roster, 1);
-  const auto parallel = run_fleet_battery(spec, roster, 2);
+  const auto serial = run_policy_battery(spec, roster, 1);
+  const auto parallel = run_policy_battery(spec, roster, 2);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const auto& a = serial[i];
     const auto& b = parallel[i];
     EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.jain_cumulative, b.jain_cumulative);
-    EXPECT_EQ(a.worst_slowdown_overall, b.worst_slowdown_overall);
-    EXPECT_EQ(a.worst_slowdown_p99, b.worst_slowdown_p99);
-    EXPECT_EQ(a.jain_floor, b.jain_floor);
+    EXPECT_EQ(a.jain, b.jain);
+    const TailFairness ta = tail_fairness(a.windows);
+    const TailFairness tb = tail_fairness(b.windows);
+    EXPECT_EQ(ta.worst_slowdown, tb.worst_slowdown);
+    EXPECT_EQ(ta.worst_slowdown_p99, tb.worst_slowdown_p99);
+    EXPECT_EQ(ta.jain_floor, tb.jain_floor);
     ASSERT_EQ(a.windows.size(), b.windows.size());
     for (std::size_t w = 0; w < a.windows.size(); ++w) {
       EXPECT_EQ(a.windows[w].window, b.windows[w].window);
@@ -234,6 +236,19 @@ TEST(FleetBattery, ByteIdenticalAcrossJobCounts) {
     // move as churn admits and retires apps.
     EXPECT_GT(a.windows.size(), 1u);
   }
+}
+
+TEST(FleetBattery, TailFairnessFoldsWindows) {
+  const std::vector<FleetWindowRow> rows = {
+      {0, 0.0, 1.5, 0.9, 4}, {1, 2.0, 2.5, 0.7, 5}, {2, 4.0, 2.0, 0.8, 3}};
+  const TailFairness t = tail_fairness(rows);
+  EXPECT_EQ(t.worst_slowdown, 2.5);
+  EXPECT_EQ(t.worst_slowdown_p99, 2.5);
+  EXPECT_EQ(t.jain_floor, 0.7);
+  const TailFairness empty = tail_fairness({});
+  EXPECT_EQ(empty.worst_slowdown, 1.0);
+  EXPECT_EQ(empty.worst_slowdown_p99, 1.0);
+  EXPECT_EQ(empty.jain_floor, 1.0);
 }
 
 }  // namespace

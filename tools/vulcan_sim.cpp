@@ -301,138 +301,193 @@ bool write_output(const std::string& path, Fn&& fn) {
   return true;
 }
 
-/// Fleet battery: the O(100)-app churn scenario once per policy, reported
-/// as *tail* fairness over time — per 2 s window the worst-app slowdown
-/// and the windowed Jain floor, plus run-level tail aggregates. Results
-/// merge in roster order, so the output is byte-identical for any --jobs.
-int run_fleet(const Options& o, const std::vector<std::string>& roster) {
-  if (!o.timeseries_out.empty() || !o.provenance_out.empty() ||
-      !o.telemetry_bench.empty()) {
-    std::fprintf(stderr,
-                 "--timeseries/--provenance/--telemetry-bench are not "
-                 "supported by the fleet battery; use a single --policy "
-                 "run for per-run artefacts\n");
-    return 2;
+/// Builder settings shared by the single run and every battery run.
+void configure(runtime::SystemBuilder& b, const Options& o) {
+  b.epoch_ms(o.epoch_ms)
+      .samples_per_epoch(o.samples)
+      .profiler(profiler_kind(o.profiler))
+      .spans(!o.no_spans)
+      .audit(audit_level(o))
+      .slo(slo_rules(o));
+  if (o.scenario == "fleet") {
+    // Fleet runs fold epochs into 2 s tail-fairness windows retained for
+    // the whole run, so the window tables cover every window.
+    b.timeseries(runtime::fleet_timeseries_config(o.seconds));
   }
-  runtime::FleetSpec spec = fleet_spec(o);
-  if (o.admission) spec.admission_compare = admission_spec(o);
-  std::printf(
-      "scenario=fleet apps=%u churn=%.1f/min lc=%.2f be=%.2f seed=%llu "
-      "seconds=%.0f policies=%zu%s\n\n",
-      spec.apps, spec.churn_per_min, spec.lc_fraction, spec.be_fraction,
-      (unsigned long long)spec.seed, spec.seconds, roster.size(),
-      o.admission ? " admission=compare" : "");
+}
 
-  std::vector<runtime::FleetPolicyResult> results;
-  exec::BatchStats stats;
-  try {
-    results = runtime::run_fleet_battery(spec, roster, o.jobs, &stats);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vulcan_sim: %s\n", e.what());
-    return std::string(e.what()).find("audit(level=") != std::string::npos
-               ? 3
-               : 1;
+double veto_percent(const runtime::AdmissionCompare& a) {
+  const std::uint64_t verdicts = a.admitted + a.vetoed;
+  return verdicts ? 100.0 * double(a.vetoed) / double(verdicts) : 0.0;
+}
+
+/// Dilemma/paper/micro report: per-app end-of-run slowdowns, plus the
+/// admission ablation columns. The regular table is the admission-off
+/// half and is byte-identical to an ablation-free battery.
+void print_app_report(const std::vector<runtime::PolicyRunSummary>& summaries,
+                      const Options& o) {
+  std::printf("%-10s %8s %8s", "policy", "jain", "CFI");
+  for (const auto& [app, _] : summaries.front().apps) {
+    std::printf(" %14s", (app + " sd").c_str());
   }
-  std::fprintf(stderr,
-               "[exec] %zu fleet runs on %u workers: %.0f ms wall "
-               "(%.0f ms serialized, %.2fx)\n",
-               stats.jobs, stats.workers, stats.wall_ms,
-               stats.job_wall_ms_sum, stats.speedup());
+  std::printf("\n");
+  for (const auto& s : summaries) {
+    std::printf("%-10s %8.3f %8.3f", s.policy.c_str(), s.jain, s.cfi);
+    for (const auto& [_, slowdown] : s.apps) {
+      std::printf(" %14.3f", slowdown);
+    }
+    std::printf("\n");
+  }
+  if (!o.admission) return;
+  std::printf("\nadmission ablation (margin=%.2f; off -> on):\n",
+              admission_spec(o).margin);
+  std::printf("%-10s %12s", "policy", "jain");
+  for (const auto& [app, _] : summaries.front().apps) {
+    std::printf(" %16s", (app + " sd").c_str());
+  }
+  std::printf(" %15s %15s %8s\n", "pages", "ipis", "veto%");
+  for (const auto& s : summaries) {
+    if (!s.admission) continue;
+    const auto& a = *s.admission;
+    std::printf("%-10s %5.3f>%5.3f", s.policy.c_str(), s.jain, a.jain);
+    for (std::size_t i = 0; i < s.apps.size(); ++i) {
+      const double on_sd =
+          i < a.apps.size() ? a.apps[i].second : s.apps[i].second;
+      std::printf(" %7.3f>%7.3f", s.apps[i].second, on_sd);
+    }
+    std::printf(" %7llu>%7llu %7llu>%7llu %7.1f%%\n",
+                (unsigned long long)a.base_pages_migrated,
+                (unsigned long long)a.pages_migrated,
+                (unsigned long long)a.base_shootdown_ipis,
+                (unsigned long long)a.shootdown_ipis, veto_percent(a));
+  }
+}
 
-  // Run-level tail summary: who is worst off, and how bad does it get?
+/// Fleet report: *tail* fairness over time — run-level tail aggregates,
+/// the admission ablation's tail columns, then per 2 s window the
+/// worst-app slowdown and the windowed Jain floor of each policy.
+void print_fleet_report(
+    const std::vector<runtime::PolicyRunSummary>& summaries,
+    const Options& o) {
   std::printf("%-10s %10s %10s %10s %11s\n", "policy", "jain_cum",
               "worst_sd", "p99_sd", "jain_floor");
-  for (const auto& r : results) {
-    std::printf("%-10s %10.3f %10.3f %10.3f %11.3f\n", r.policy.c_str(),
-                r.jain_cumulative, r.worst_slowdown_overall,
-                r.worst_slowdown_p99, r.jain_floor);
+  for (const auto& s : summaries) {
+    const runtime::TailFairness t = runtime::tail_fairness(s.windows);
+    std::printf("%-10s %10.3f %10.3f %10.3f %11.3f\n", s.policy.c_str(),
+                s.jain, t.worst_slowdown, t.worst_slowdown_p99,
+                t.jain_floor);
   }
-
-  // Admission ablation: the same tail aggregates with the veto layer on,
-  // next to the migration cost it saved (pages copied + shootdown IPIs).
   if (o.admission) {
-    std::printf(
-        "\nadmission ablation (margin=%.2f; off -> on):\n",
-        spec.admission_compare->margin);
+    std::printf("\nadmission ablation (margin=%.2f; off -> on):\n",
+                admission_spec(o).margin);
     std::printf("%-10s %10s %10s %11s %13s %13s %9s\n", "policy",
                 "worst_sd", "p99_sd", "jain_floor", "pages", "ipis",
                 "veto%");
-    for (const auto& r : results) {
-      if (!r.admission) continue;
-      const auto& a = *r.admission;
-      const std::uint64_t verdicts = a.admitted + a.vetoed;
+    for (const auto& s : summaries) {
+      if (!s.admission) continue;
+      const auto& a = *s.admission;
+      const runtime::TailFairness off = runtime::tail_fairness(s.windows);
+      const runtime::TailFairness on = runtime::tail_fairness(a.windows);
       std::printf(
           "%-10s %4.2f>%4.2f %4.2f>%4.2f %5.3f>%5.3f %6llu>%6llu "
           "%6llu>%6llu %8.1f%%\n",
-          r.policy.c_str(), r.worst_slowdown_overall,
-          a.worst_slowdown_overall, r.worst_slowdown_p99,
-          a.worst_slowdown_p99, r.jain_floor, a.jain_floor,
-          (unsigned long long)a.base_pages_migrated,
+          s.policy.c_str(), off.worst_slowdown, on.worst_slowdown,
+          off.worst_slowdown_p99, on.worst_slowdown_p99, off.jain_floor,
+          on.jain_floor, (unsigned long long)a.base_pages_migrated,
           (unsigned long long)a.pages_migrated,
           (unsigned long long)a.base_shootdown_ipis,
-          (unsigned long long)a.shootdown_ipis,
-          verdicts ? 100.0 * double(a.vetoed) / double(verdicts) : 0.0);
+          (unsigned long long)a.shootdown_ipis, veto_percent(a));
     }
   }
-
-  // Per-window detail: the fairness *trajectory* each policy produced.
-  for (const auto& r : results) {
-    std::printf("\n%s (%.0f s windows):\n", r.policy.c_str(),
+  for (const auto& s : summaries) {
+    std::printf("\n%s (%.0f s windows):\n", s.policy.c_str(),
                 runtime::kFleetWindowSeconds);
     std::printf("%8s %10s %10s %6s\n", "t(s)", "worst_sd", "jain_min",
                 "live");
-    for (const auto& w : r.windows) {
+    for (const auto& w : s.windows) {
       std::printf("%8.0f %10.3f %10.3f %6.0f\n", w.time_s, w.worst_slowdown,
                   w.jain_min, w.live_apps);
     }
   }
+}
 
-  // Fleet bench summary: deterministic tail aggregates only, so two runs
-  // of the same binary are byte-identical at any --jobs count.
-  // bench/baselines/BENCH_fleet.json pins this shape.
-  if (!o.bench_json.empty()) {
-    const bool ok = write_output(o.bench_json, [&](std::ostream& out) {
-      out << "{\"scenario\": \"fleet\", \"seed\": " << o.seed
-          << ", \"simulated_s\": " << o.seconds << ", \"apps\": " << o.apps
-          << ", \"churn_per_min\": " << o.churn << ", \"policies\": [";
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto& r = results[i];
-        out << (i ? ", " : "") << "{\"name\": \"" << r.policy
-            << "\", \"jain_cumulative\": " << r.jain_cumulative
-            << ", \"worst_slowdown_overall\": " << r.worst_slowdown_overall
-            << ", \"worst_slowdown_p99\": " << r.worst_slowdown_p99
-            << ", \"jain_floor\": " << r.jain_floor
-            << ", \"windows\": " << r.windows.size();
-        // The with-admission rerun rides along as a nested object, so the
-        // admission-off fields above stay byte-identical to a compare-free
-        // baseline run.
-        if (r.admission) {
-          const auto& a = *r.admission;
-          out << ", \"admission\": {\"jain_cumulative\": "
-              << a.jain_cumulative << ", \"worst_slowdown_overall\": "
-              << a.worst_slowdown_overall << ", \"worst_slowdown_p99\": "
-              << a.worst_slowdown_p99 << ", \"jain_floor\": " << a.jain_floor
-              << ", \"pages_migrated\": " << a.pages_migrated
-              << ", \"shootdown_ipis\": " << a.shootdown_ipis
-              << ", \"base_pages_migrated\": " << a.base_pages_migrated
-              << ", \"base_shootdown_ipis\": " << a.base_shootdown_ipis
-              << ", \"admitted\": " << a.admitted
-              << ", \"vetoed\": " << a.vetoed << "}";
-        }
-        out << "}";
-      }
-      out << "]}\n";
-    });
-    std::fprintf(stderr, "wrote %s (fleet benchmark summary)\n",
-                 o.bench_json.c_str());
-    if (!ok) return 1;
+void write_slowdowns(
+    std::ostream& out,
+    const std::vector<std::pair<std::string, double>>& apps) {
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    out << (a ? ", " : "") << "{\"name\": \"" << apps[a].first
+        << "\", \"slowdown\": " << apps[a].second << "}";
   }
-  return 0;
+}
+
+void write_cost(std::ostream& out, const runtime::AdmissionCompare& a) {
+  out << ", \"pages_migrated\": " << a.pages_migrated
+      << ", \"shootdown_ipis\": " << a.shootdown_ipis
+      << ", \"base_pages_migrated\": " << a.base_pages_migrated
+      << ", \"base_shootdown_ipis\": " << a.base_shootdown_ipis
+      << ", \"admitted\": " << a.admitted << ", \"vetoed\": " << a.vetoed
+      << "}";
+}
+
+/// Battery bench summary. Deterministic fields only (no wall time), so two
+/// runs of the same binary are byte-identical at any --jobs count.
+/// bench/baselines/BENCH_hotpath.json pins the per-app shape and
+/// BENCH_fleet.json the fleet's tail shape. The with-admission rerun rides
+/// along as a nested object, so the admission-off fields stay identical to
+/// an ablation-free battery.
+void write_bench(std::ostream& out,
+                 const std::vector<runtime::PolicyRunSummary>& summaries,
+                 const Options& o) {
+  const bool fleet = o.scenario == "fleet";
+  out << "{\"scenario\": \"" << o.scenario << "\", \"seed\": " << o.seed
+      << ", \"simulated_s\": " << o.seconds;
+  if (fleet) {
+    out << ", \"apps\": " << o.apps << ", \"churn_per_min\": " << o.churn;
+  }
+  out << ", \"policies\": [";
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    const auto& s = summaries[i];
+    out << (i ? ", " : "") << "{\"name\": \"" << s.policy << "\"";
+    if (fleet) {
+      const runtime::TailFairness t = runtime::tail_fairness(s.windows);
+      out << ", \"jain_cumulative\": " << s.jain
+          << ", \"worst_slowdown_overall\": " << t.worst_slowdown
+          << ", \"worst_slowdown_p99\": " << t.worst_slowdown_p99
+          << ", \"jain_floor\": " << t.jain_floor
+          << ", \"windows\": " << s.windows.size();
+      if (s.admission) {
+        const auto& a = *s.admission;
+        const runtime::TailFairness on = runtime::tail_fairness(a.windows);
+        out << ", \"admission\": {\"jain_cumulative\": " << a.jain
+            << ", \"worst_slowdown_overall\": " << on.worst_slowdown
+            << ", \"worst_slowdown_p99\": " << on.worst_slowdown_p99
+            << ", \"jain_floor\": " << on.jain_floor;
+        write_cost(out, a);
+      }
+    } else {
+      out << ", \"jain\": " << s.jain << ", \"cfi\": " << s.cfi
+          << ", \"apps\": [";
+      write_slowdowns(out, s.apps);
+      out << "]";
+      if (s.admission) {
+        const auto& a = *s.admission;
+        out << ", \"admission\": {\"jain\": " << a.jain
+            << ", \"cfi\": " << a.cfi << ", \"apps\": [";
+        write_slowdowns(out, a.apps);
+        out << "]";
+        write_cost(out, a);
+      }
+    }
+    out << "}";
+  }
+  out << "]}\n";
 }
 
 /// Battery mode: one full simulation per policy in the roster, fanned out
-/// across the exec worker pool. The comparison table merges in roster
-/// order, so it is byte-identical for any --jobs value.
+/// across the exec worker pool. Every scenario, the fleet included, runs
+/// through run_policy_battery with the single run's builder settings; only
+/// the report differs. Results merge in roster order, so every output is
+/// byte-identical for any --jobs value.
 int run_battery(const Options& o) {
   if (!o.csv.empty() || !o.trace_out.empty() || !o.metrics_out.empty() ||
       !o.perfetto_out.empty() || !o.folded_out.empty() ||
@@ -467,34 +522,29 @@ int run_battery(const Options& o) {
     return 2;
   }
 
-  // The fleet battery reports tail fairness over time rather than the
-  // end-of-run means below; it has its own table and bench shape.
-  if (o.scenario == "fleet") return run_fleet(o, roster);
-
-  const auto configure_base = [&o](runtime::SystemBuilder& b) {
-    b.epoch_ms(o.epoch_ms)
-        .samples_per_epoch(o.samples)
-        .profiler(profiler_kind(o.profiler))
-        .spans(!o.no_spans)
-        .audit(audit_level(o));
-  };
-
+  const bool fleet = o.scenario == "fleet";
   runtime::ScenarioSpec spec;
   spec.name = o.scenario;
   spec.seconds = o.seconds;
   spec.seed = o.seed;
-  spec.configure = [&o, &configure_base](runtime::SystemBuilder& b) {
-    configure_base(b);
-    b.slo(slo_rules(o));
-  };
+  spec.configure = [&o](runtime::SystemBuilder& b) { configure(b, o); };
   spec.stage = [&o] { return make_scenario(o); };
   spec.capture_timeseries = !o.timeseries_out.empty();
   spec.capture_provenance = !o.provenance_out.empty();
   if (o.admission) spec.admission_compare = admission_spec(o);
 
-  std::printf("scenario=%s seed=%llu seconds=%.0f policies=%zu%s\n\n",
-              o.scenario.c_str(), (unsigned long long)o.seed, o.seconds,
-              roster.size(), o.admission ? " admission=compare" : "");
+  const char* compare = o.admission ? " admission=compare" : "";
+  if (fleet) {
+    std::printf(
+        "scenario=fleet apps=%u churn=%.1f/min lc=%.2f be=%.2f seed=%llu "
+        "seconds=%.0f policies=%zu%s\n\n",
+        o.apps, o.churn, o.lc_frac, o.be_frac, (unsigned long long)o.seed,
+        o.seconds, roster.size(), compare);
+  } else {
+    std::printf("scenario=%s seed=%llu seconds=%.0f policies=%zu%s\n\n",
+                o.scenario.c_str(), (unsigned long long)o.seed, o.seconds,
+                roster.size(), compare);
+  }
 
   std::vector<runtime::PolicyRunSummary> summaries;
   exec::BatchStats stats;
@@ -514,49 +564,8 @@ int run_battery(const Options& o) {
                stats.jobs, stats.workers, stats.wall_ms,
                stats.job_wall_ms_sum, stats.speedup());
 
-  std::printf("%-10s %8s %8s", "policy", "jain", "CFI");
-  for (const auto& [app, _] : summaries.front().apps) {
-    std::printf(" %14s", (app + " sd").c_str());
-  }
-  std::printf("\n");
-  for (const auto& s : summaries) {
-    std::printf("%-10s %8.3f %8.3f", s.policy.c_str(), s.jain, s.cfi);
-    for (const auto& [_, slowdown] : s.apps) {
-      std::printf(" %14.3f", slowdown);
-    }
-    std::printf("\n");
-  }
-
-  // Admission ablation: per-app slowdowns with the veto layer on, next to
-  // the migration cost it saved. The regular table above is the
-  // admission-off half and is byte-identical to an ablation-free battery.
-  if (o.admission) {
-    std::printf("\nadmission ablation (margin=%.2f; off -> on):\n",
-                spec.admission_compare->margin);
-    std::printf("%-10s %12s", "policy", "jain");
-    for (const auto& [app, _] : summaries.front().apps) {
-      std::printf(" %16s", (app + " sd").c_str());
-    }
-    std::printf(" %15s %15s %8s\n", "pages", "ipis", "veto%");
-    for (const auto& s : summaries) {
-      if (!s.admission) continue;
-      const auto& a = *s.admission;
-      std::printf("%-10s %5.3f>%5.3f", s.policy.c_str(), s.jain, a.jain);
-      for (std::size_t i = 0; i < s.apps.size(); ++i) {
-        const double on_sd =
-            i < a.apps.size() ? a.apps[i].second : s.apps[i].second;
-        std::printf(" %7.3f>%7.3f", s.apps[i].second, on_sd);
-      }
-      const std::uint64_t verdicts = a.admitted + a.vetoed;
-      std::printf(" %7llu>%7llu %7llu>%7llu %7.1f%%\n",
-                  (unsigned long long)a.base_pages_migrated,
-                  (unsigned long long)a.pages_migrated,
-                  (unsigned long long)a.base_shootdown_ipis,
-                  (unsigned long long)a.shootdown_ipis,
-                  verdicts ? 100.0 * double(a.vetoed) / double(verdicts)
-                           : 0.0);
-    }
-  }
+  if (fleet) print_fleet_report(summaries, o);
+  else print_app_report(summaries, o);
 
   // Per-policy time-series exports, merged in roster order like the table
   // (each job captured its own store, so the files are byte-identical for
@@ -599,15 +608,15 @@ int run_battery(const Options& o) {
     runtime::ScenarioSpec off = spec;
     off.capture_timeseries = false;
     off.admission_compare.reset();  // overhead runs, not the ablation
-    off.configure = [&configure_base](runtime::SystemBuilder& b) {
-      configure_base(b);
+    off.configure = [&o](runtime::SystemBuilder& b) {
+      configure(b, o);
       b.telemetry(false);
     };
     runtime::ScenarioSpec on = spec;
     on.capture_timeseries = false;
     on.admission_compare.reset();
-    on.configure = [&configure_base](runtime::SystemBuilder& b) {
-      configure_base(b);
+    on.configure = [&o](runtime::SystemBuilder& b) {
+      configure(b, o);
       b.slo(obs::default_slo_pack());
     };
     exec::BatchStats off_stats, on_stats;
@@ -643,46 +652,12 @@ int run_battery(const Options& o) {
     if (!ok || !identical) return 1;
   }
 
-  // Battery bench summary: deterministic fields only (no wall time), so
-  // two runs of the same binary produce byte-identical JSON at any
-  // --jobs count. bench/baselines/BENCH_hotpath.json pins this shape.
   if (!o.bench_json.empty()) {
     const bool ok = write_output(o.bench_json, [&](std::ostream& out) {
-      out << "{\"scenario\": \"" << o.scenario << "\", \"seed\": " << o.seed
-          << ", \"simulated_s\": " << o.seconds << ", \"policies\": [";
-      for (std::size_t i = 0; i < summaries.size(); ++i) {
-        const auto& s = summaries[i];
-        out << (i ? ", " : "") << "{\"name\": \"" << s.policy
-            << "\", \"jain\": " << s.jain << ", \"cfi\": " << s.cfi
-            << ", \"apps\": [";
-        for (std::size_t a = 0; a < s.apps.size(); ++a) {
-          out << (a ? ", " : "") << "{\"name\": \"" << s.apps[a].first
-              << "\", \"slowdown\": " << s.apps[a].second << "}";
-        }
-        out << "]";
-        // With-admission rerun as a nested object (ablation mode only),
-        // keeping the admission-off fields identical to a plain battery.
-        if (s.admission) {
-          const auto& adm = *s.admission;
-          out << ", \"admission\": {\"jain\": " << adm.jain
-              << ", \"cfi\": " << adm.cfi << ", \"apps\": [";
-          for (std::size_t a = 0; a < adm.apps.size(); ++a) {
-            out << (a ? ", " : "") << "{\"name\": \"" << adm.apps[a].first
-                << "\", \"slowdown\": " << adm.apps[a].second << "}";
-          }
-          out << "], \"pages_migrated\": " << adm.pages_migrated
-              << ", \"shootdown_ipis\": " << adm.shootdown_ipis
-              << ", \"base_pages_migrated\": " << adm.base_pages_migrated
-              << ", \"base_shootdown_ipis\": " << adm.base_shootdown_ipis
-              << ", \"admitted\": " << adm.admitted
-              << ", \"vetoed\": " << adm.vetoed << "}";
-        }
-        out << "}";
-      }
-      out << "]}\n";
+      write_bench(out, summaries, o);
     });
-    std::fprintf(stderr, "wrote %s (battery benchmark summary)\n",
-                 o.bench_json.c_str());
+    std::fprintf(stderr, "wrote %s (%s benchmark summary)\n",
+                 o.bench_json.c_str(), fleet ? "fleet" : "battery");
     if (!ok) return 1;
   }
   return 0;
@@ -708,22 +683,12 @@ int main(int argc, char** argv) {
   FILE* info = stdout_taken ? stderr : stdout;
 
   runtime::SystemBuilder builder;
+  configure(builder, o);
   builder.seed(o.seed)
-      .epoch_ms(o.epoch_ms)
-      .samples_per_epoch(o.samples)
-      .profiler(profiler_kind(o.profiler))
-      .spans(!o.no_spans)
-      .audit(audit_level(o))
-      .slo(slo_rules(o))
       .provenance(!o.provenance_out.empty())
       .flight_dump(o.flight_dump)
       .policy(std::string_view(o.policy));
   if (o.admission) builder.admission(admission_spec(o));
-  if (o.scenario == "fleet") {
-    // Fleet runs fold epochs into 2 s tail-fairness windows retained for
-    // the whole run, so the table below covers every window.
-    builder.timeseries(runtime::fleet_timeseries_config(o.seconds));
-  }
   auto built = builder.build();
   if (!built) {
     std::fprintf(stderr, "invalid configuration: %s\n",
