@@ -153,6 +153,9 @@ EOF
 # go to the log so a silent behaviour change shows up in CI history.
 # --flight-on-fail re-runs a failing scenario with the flight recorder armed,
 # leaving a black box per failing policy (render with vulcan_report --flight).
+# A last campaign runs with the decision ledger on, so provenance ids travel
+# through the migration queues of churned mini-fleets under the full audit
+# and the no-pending-rows check.
 job_fuzz() {
   build vulcan_check_fuzz
   local seed
@@ -161,6 +164,9 @@ job_fuzz() {
       --seconds 2.5 --jobs 1,2,4 --level full \
       --flight-on-fail "$OUT/flight" | tee -a "$OUT/campaign.txt"
   done
+  "$TOOLS/vulcan_check_fuzz" --seed 3 --scenarios 2 --seconds 2.5 \
+    --jobs 1,2,4 --level full --provenance on \
+    --flight-on-fail "$OUT/flight" | tee -a "$OUT/campaign.txt"
 }
 
 # The provenance determinism contract (the battery with the decision ledger

@@ -21,6 +21,31 @@ void add_violation(AuditReport& report, AuditRule rule, std::int32_t workload,
   report.violations.push_back(std::move(v));
 }
 
+/// Workloads indexed by pid for the TLB and PWC sweeps, which resolve the
+/// owner of tens of thousands of cached entries per epoch. The runtime
+/// numbers pids slot index + 1, so the table stays dense and a lookup is
+/// one load, however many (departed) slots the fleet has accumulated.
+/// Workloads without an address space have no pid and are left out; the
+/// first workload claiming a pid wins.
+class PidIndex {
+ public:
+  explicit PidIndex(const SystemView& view) {
+    for (const WorkloadView& w : view.workloads) {
+      if (!w.as) continue;
+      const vm::ProcessId pid = w.as->pid();
+      if (pid >= table_.size()) table_.resize(std::size_t{pid} + 1, nullptr);
+      if (!table_[pid]) table_[pid] = &w;
+    }
+  }
+
+  const WorkloadView* find(vm::ProcessId pid) const {
+    return pid < table_.size() ? table_[pid] : nullptr;
+  }
+
+ private:
+  std::vector<const WorkloadView*> table_;
+};
+
 }  // namespace
 
 const char* audit_rule_name(AuditRule rule) {
@@ -353,24 +378,11 @@ void InvariantAuditor::check_departed(const WorkloadView& w,
 void InvariantAuditor::check_tlbs(const SystemView& view,
                                   AuditReport& report) const {
   if (!view.tlbs) return;
-  // Tiny linear pid map: scanning a handful of workloads per cached entry
-  // beats a hash probe (the TLB sweep visits millions of entries per run).
-  std::vector<std::pair<vm::ProcessId, const WorkloadView*>> by_pid;
-  by_pid.reserve(view.workloads.size());
-  for (const WorkloadView& w : view.workloads) {
-    by_pid.emplace_back(w.as->pid(), &w);
-  }
-  const auto find_pid = [&](vm::ProcessId pid) -> const WorkloadView* {
-    for (const auto& [p, w] : by_pid) {
-      if (p == pid) return w;
-    }
-    return nullptr;
-  };
-
+  const PidIndex by_pid(view);
   for (std::size_t core = 0; core < view.tlbs->size(); ++core) {
     (*view.tlbs)[core].visit_entries([&](const vm::Tlb::EntryView& e) {
       ++report.checks;
-      const WorkloadView* found = find_pid(e.pid);
+      const WorkloadView* found = by_pid.find(e.pid);
       if (!found) {
         add_violation(report, AuditRule::kTlbTranslation, -1, e.page,
                       static_cast<double>(core),
@@ -440,22 +452,11 @@ void InvariantAuditor::check_tlbs(const SystemView& view,
 void InvariantAuditor::check_pwc(const SystemView& view,
                                  AuditReport& report) const {
   if (!view.mmu) return;
-  std::vector<std::pair<vm::ProcessId, const WorkloadView*>> by_pid;
-  by_pid.reserve(view.workloads.size());
-  for (const WorkloadView& w : view.workloads) {
-    if (w.as) by_pid.emplace_back(w.as->pid(), &w);
-  }
-
+  const PidIndex by_pid(view);
   view.mmu->for_each_pwc_entry([&](const vm::Mmu::PwcEntryView& e) {
     ++report.checks;
     const vm::Vpn base = e.chunk * sim::kPagesPerHuge;
-    const WorkloadView* found = nullptr;
-    for (const auto& [p, w] : by_pid) {
-      if (p == e.pid) {
-        found = w;
-        break;
-      }
-    }
+    const WorkloadView* found = by_pid.find(e.pid);
     if (!found) {
       add_violation(report, AuditRule::kPwcCoherence, -1, base, 0.0,
                     "PWC caches a walk for unknown pid " +

@@ -39,6 +39,8 @@ struct MigrationRequest {
   /// Provenance ledger decision id (policy::record_decision); 0 = none.
   /// The migrator links the executed outcome back to this record.
   std::uint64_t provenance = 0;
+
+  bool operator==(const MigrationRequest&) const = default;
 };
 
 /// Aggregated outcome of executing a batch of requests.

@@ -33,6 +33,12 @@ void CascadePolicy::plan_epoch(std::span<WorkloadView> workloads,
   // low) so the sort compares with a single branch instead of a
   // two-field lexicographic comparator.
   using Entry = unsigned __int128;
+  const auto heat_of = [](Entry e) {
+    return std::bit_cast<float>(~static_cast<std::uint32_t>(e >> 96));
+  };
+  const auto resident_tier = [](Entry e) {
+    return static_cast<mem::TierId>(static_cast<std::uint64_t>(e) & 0xFF);
+  };
   std::vector<Entry> ranking;
   for (std::size_t vi = 0; vi < workloads.size(); ++vi) {
     const WorkloadView& view = workloads[vi];
@@ -64,65 +70,73 @@ void CascadePolicy::plan_epoch(std::span<WorkloadView> workloads,
       ranking.push_back((static_cast<Entry>(rank) << 64) | payload);
     }
   }
-  std::sort(ranking.begin(), ranking.end());
-
   // Waterfall: pour the ranking down the tiers; record boundaries. The
   // anti-thrash margin is evaluated against the *previous* epoch's
   // boundaries (this epoch's are still forming).
   std::vector<double> prev = boundaries_;
   prev.resize(tiers, 0.0);
   boundaries_.assign(tiers, 0.0);
-  std::vector<std::uint64_t> budget(tiers);
-  for (std::size_t t = 0; t < tiers; ++t) {
-    budget[t] = static_cast<std::uint64_t>(
-        params_.fill_fraction *
-        static_cast<double>(topo.capacity_pages(static_cast<mem::TierId>(t))));
-  }
 
+  // Only pages whose assigned tier differs from their current one cause
+  // work, so the ranking is never fully sorted. nth_element cuts each
+  // tier's budget off the front of the still-unplaced rest; the cut's
+  // largest key is the tier's boundary (its coolest admitted page), and
+  // only the partition's movers are sorted. Partitions are consecutive in
+  // key order, so issuing them tier by tier visits the movers exactly as
+  // a walk down the fully sorted ranking would.
   std::vector<std::uint64_t> issued(workloads.size(), 0);
-  std::size_t tier = 0;
-  for (const Entry& e : ranking) {
-    while (tier < tiers && budget[tier] == 0) ++tier;
-    if (tier >= tiers) break;
-    --budget[tier];
-    const auto rank = static_cast<std::uint64_t>(e >> 64);
-    const auto payload = static_cast<std::uint64_t>(e);
-    const std::uint32_t wl = static_cast<std::uint32_t>(rank);
-    const float heat =
-        std::bit_cast<float>(~static_cast<std::uint32_t>(rank >> 32));
-    const std::uint64_t page = payload >> 8;
-    const auto current = static_cast<mem::TierId>(payload & 0xFF);
-    boundaries_[tier] = heat;  // last (coolest) page admitted so far
-
-    WorkloadView& view = workloads[wl];
+  auto lo = ranking.begin();
+  for (std::size_t tier = 0; tier < tiers && lo != ranking.end(); ++tier) {
     const auto assigned = static_cast<mem::TierId>(tier);
-    if (current == assigned) continue;
-    if (issued[wl] >= params_.max_moves_per_workload) continue;
-    // Anti-thrash: a page promoted from the adjacent slower tier must
-    // clear last epoch's admission boundary with a margin — pages living
-    // right at the boundary would otherwise flip tiers every epoch.
-    if (assigned + 1 == current && prev[assigned] > 0.0 &&
-        heat <= params_.boundary_hysteresis * prev[assigned] &&
-        heat >= prev[assigned] / params_.boundary_hysteresis) {
-      continue;
+    const auto budget = static_cast<std::uint64_t>(
+        params_.fill_fraction *
+        static_cast<double>(topo.capacity_pages(assigned)));
+    if (budget == 0) continue;
+    const auto hi =
+        lo + static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(
+                 budget, static_cast<std::uint64_t>(ranking.end() - lo)));
+    std::nth_element(lo, hi - 1, ranking.end());
+    boundaries_[tier] = heat_of(*(hi - 1));
+    const auto movers_end = std::partition(
+        lo, hi, [&](Entry e) { return resident_tier(e) != assigned; });
+    std::sort(lo, movers_end);
+    for (auto it = lo; it != movers_end; ++it) {
+      const Entry e = *it;
+      const auto wl = static_cast<std::uint32_t>(e >> 64);
+      const float heat = heat_of(e);
+      const std::uint64_t page = static_cast<std::uint64_t>(e) >> 8;
+      const mem::TierId current = resident_tier(e);
+      WorkloadView& view = workloads[wl];
+      if (issued[wl] >= params_.max_moves_per_workload) continue;
+      // Anti-thrash: a page promoted from the adjacent slower tier must
+      // clear last epoch's admission boundary with a margin — pages
+      // living right at the boundary would otherwise flip tiers every
+      // epoch.
+      if (assigned + 1 == current && prev[assigned] > 0.0 &&
+          heat <= params_.boundary_hysteresis * prev[assigned] &&
+          heat >= prev[assigned] / params_.boundary_hysteresis) {
+        continue;
+      }
+      // Provenance threshold: last epoch's admission boundary for the
+      // tier the ruler applies to. A promotion had to clear the
+      // *destination* boundary; a demotion fell under its *source*
+      // boundary — using the destination cut for demotions (the old
+      // behaviour) flips the benefit sign, since a demoted page is
+      // usually the hottest of its new tier.
+      const bool demote = assigned > current;
+      auto req = make_request(view, page, assigned, mig::CopyMode::kAsync,
+                              {.rank = issued[wl],
+                               .threshold = demote ? prev[current]
+                                                   : prev[assigned],
+                               .queue_bias = demote ? -1.0 : 0.0});
+      if (demote) {
+        view.migration->enqueue_urgent(req);  // demotions free capacity first
+      } else {
+        view.migration->enqueue(req);
+      }
+      ++issued[wl];
     }
-    // Provenance threshold: last epoch's admission boundary for the tier
-    // the ruler applies to. A promotion had to clear the *destination*
-    // boundary; a demotion fell under its *source* boundary — using the
-    // destination cut for demotions (the old behaviour) flips the benefit
-    // sign, since a demoted page is usually the hottest of its new tier.
-    const bool demote = assigned > current;
-    auto req = make_request(view, page, assigned, mig::CopyMode::kAsync,
-                            {.rank = issued[wl],
-                             .threshold = demote ? prev[current]
-                                                 : prev[assigned],
-                             .queue_bias = demote ? -1.0 : 0.0});
-    if (demote) {
-      view.migration->enqueue_urgent(req);  // demotions free capacity first
-    } else {
-      view.migration->enqueue(req);
-    }
-    ++issued[wl];
+    lo = hi;
   }
 
   // Pages with zero heat that sit in the top tier sink one step down when

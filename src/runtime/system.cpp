@@ -227,10 +227,10 @@ void TieredSystem::simulate_accesses(ManagedWorkload& mw,
   //   (a) generate   — drain the workload's access stream (workload RNG
   //                    only) into the reused batch buffer;
   //   (b) translate  — TLB lookup, PWC-accelerated walk, demand faults and
-  //                    A/D recording, in stream order. The write hook runs
+  //                    A/D recording, in stream order. The hook runs
   //                    inline so shadow invalidation (which returns frames
-  //                    to the allocator) interleaves exactly as in the
-  //                    single-event pipeline;
+  //                    to the allocator) and fault ledgering interleave
+  //                    exactly as in the single-event pipeline;
   //   (c) account    — latency/tier accounting plus profiler observation,
   //                    the sole consumer of the system RNG.
   //
@@ -242,10 +242,18 @@ void TieredSystem::simulate_accesses(ManagedWorkload& mw,
   const vm::Mmu::PlacementFn place = [&](vm::Vpn) {
     return policy_->placement_tier(view_for_placement, *topo_);
   };
-  vm::Mmu::AccessHook write_hook;
-  if (shadowing) {
-    write_hook = [&](const vm::Mmu::Access& a, const vm::Mmu::Translation&) {
-      if (a.is_write) mw.migrator->on_write(a.vpn);
+  // Fault ledgering belongs in the hook, not in (c): record_fault_alloc
+  // scans the faulting page's whole chunk, so deferring it let a fault log
+  // pages that a later fault of the same batch mapped, and the transition
+  // order depended on the batch size.
+  const bool record_faults = provenance_.enabled();
+  vm::Mmu::AccessHook hook;
+  if (shadowing || record_faults) {
+    hook = [&](const vm::Mmu::Access& a, const vm::Mmu::Translation& t) {
+      if (shadowing && a.is_write) mw.migrator->on_write(a.vpn);
+      if (record_faults && t.faulted && !t.tlb_hit) {
+        record_fault_alloc(as, a.vpn);
+      }
     };
   }
 
@@ -267,7 +275,7 @@ void TieredSystem::simulate_accesses(ManagedWorkload& mw,
     }
 
     mmu_->translate_batch(as, access_batch_, place, translation_batch_,
-                          write_hook);
+                          hook);
 
     for (std::uint64_t i = 0; i < n; ++i) {
       const vm::Mmu::Access& a = access_batch_[i];
@@ -278,10 +286,7 @@ void TieredSystem::simulate_accesses(ManagedWorkload& mw,
         // One demand fault per page, regardless of the sample's weight.
         // (A fault on the TLB-hit path — defensive, "cannot happen" — is
         // deliberately uncharged, matching the pre-facade engine.)
-        if (t.faulted) {
-          mw.epoch_inline_overhead += cost_.minor_fault();
-          if (provenance_.enabled()) record_fault_alloc(as, a.vpn);
-        }
+        if (t.faulted) mw.epoch_inline_overhead += cost_.minor_fault();
       }
 
       const mem::TierId tier = mem::tier_of(t.pte.pfn());

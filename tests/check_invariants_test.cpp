@@ -46,6 +46,13 @@ bool has_rule(const AuditReport& report, AuditRule rule) {
                      [rule](const Violation& v) { return v.rule == rule; });
 }
 
+bool has_message(const AuditReport& report, const std::string& text) {
+  return std::any_of(report.violations.begin(), report.violations.end(),
+                     [&](const Violation& v) {
+                       return v.message.find(text) != std::string::npos;
+                     });
+}
+
 class CleanAuditP : public ::testing::TestWithParam<const char*> {};
 
 // Every policy's churn must audit green at kFull, every epoch (the audit
@@ -188,6 +195,40 @@ TEST(AuditorFaultInjection, AuditOffSkipsEpochBoundaryChecks) {
   // ...but an explicit audit (which escalates to kFull when off) sees it.
   const AuditReport& report = sys->run_audit();
   EXPECT_TRUE(has_rule(report, AuditRule::kFrameConservation));
+}
+
+TEST(AuditorFaultInjection, TlbEntryForPidBeyondEverySlotIsUnknown) {
+  const auto sys =
+      make_system("vulcan", AuditLevel::kBasic, /*audit_throw=*/false);
+  add_churny_workloads(*sys);
+  sys->run_epochs(1);
+  ASSERT_TRUE(sys->last_audit().ok());
+
+  sys->mmu().tlb(0).insert(/*pid=*/999, sys->address_space(0).vpn_at(0));
+  const AuditReport& report = sys->run_audit();
+  ASSERT_TRUE(has_rule(report, AuditRule::kTlbTranslation))
+      << format_report(report);
+  EXPECT_TRUE(has_message(report, "unknown pid 999")) << format_report(report);
+}
+
+// A workload slot without an address space has no pid: the TLB sweep must
+// skip it (as the PWC sweep and the per-workload checks do) and report the
+// translations it left behind as belonging to an unknown pid.
+TEST(Auditor, TlbSweepSkipsSlotsWithoutAddressSpace) {
+  const auto sys =
+      make_system("vulcan", AuditLevel::kBasic, /*audit_throw=*/false);
+  add_churny_workloads(*sys);
+  sys->run_epochs(1);
+  const vm::AddressSpace& as = sys->address_space(1);
+  sys->mmu().tlb(0).insert(as.pid(), as.vpn_at(0));
+
+  SystemView view = sys->audit_view();
+  view.workloads[1].as = nullptr;
+  view.workloads[1].migrator = nullptr;
+  const AuditReport report = InvariantAuditor(AuditLevel::kBasic).audit(view);
+  EXPECT_TRUE(has_message(report, "caches a translation for unknown pid " +
+                                      std::to_string(as.pid())))
+      << format_report(report);
 }
 
 TEST(Auditor, EmptyViewAuditsVacuouslyGreen) {

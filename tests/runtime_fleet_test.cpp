@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,33 @@ TEST(FleetChurn, DepartedAppsReturnEveryFrameUnderFullAudit) {
   const auto snapshot = obs::snapshot_registry(sys.obs_registry());
   EXPECT_EQ(snapshot.counter("check.violations"), 0u);
   EXPECT_EQ(snapshot.counter("runtime.workloads_departed"), departed);
+}
+
+// The translate-batch size is a host detail, so the ledger's transition
+// log must not depend on it. Fleet apps fault base pages one at a time, and
+// several faults of one chunk can land in the same batch: the alloc rows
+// must still come out in fault order.
+TEST(FleetChurn, LedgerTransitionsIgnoreTranslateBatch) {
+  const auto transitions = [](std::uint64_t batch) {
+    auto built = SystemBuilder{}
+                     .seed(1234)
+                     .provenance(true)
+                     .translate_batch(batch)
+                     .timeseries(fleet_timeseries_config(4.0))
+                     .policy("tpp")
+                     .build();
+    EXPECT_TRUE(built) << built.error();
+    TieredSystem& sys = *built.value();
+    FleetSpec spec = small_churned_fleet();
+    spec.seconds = 4.0;
+    run_staged(sys, make_fleet(spec), spec.seconds);
+    std::ostringstream out;
+    sys.provenance().write_transitions_jsonl(out);
+    return out.str();
+  };
+  const std::string reference = transitions(1);
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(transitions(256), reference);
 }
 
 TEST(FleetChurn, SeededResidencyLeakTripsTheDepartedAudit) {
